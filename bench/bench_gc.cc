@@ -69,9 +69,9 @@ GcResult RunChurn(KernelConfig::ForwardingGc gc, int generations) {
     result.residual_forwarding += cluster.kernel(m).process_table().ForwardingAddressCount();
   }
   result.forwarded = cluster.TotalStat(stat::kMsgsForwarded);
-  result.expired = cluster.TotalStat("forwarding_expired");
-  result.rerouted = cluster.TotalStat("gc_rerouted");
-  result.cleared = cluster.TotalStat("forwarding_cleared");
+  result.expired = cluster.TotalStat(stat::kForwardingExpired);
+  result.rerouted = cluster.TotalStat(stat::kGcRerouted);
+  result.cleared = cluster.TotalStat(stat::kForwardingCleared);
   return result;
 }
 

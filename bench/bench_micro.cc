@@ -258,10 +258,9 @@ BENCHMARK(BM_EventQueueStep);
 
 // BENCHMARK_MAIN() expanded so --metrics-out can be peeled off before
 // google-benchmark sees (and rejects) it.  The micro benches have no parallel
-// runtime, so the export is the legacy-only fold: kernel StatsRegistry
-// counters are per-Cluster and already torn down here, but the process-wide
-// payload pipeline counters survive and are the number these benches
-// actually stress.
+// runtime and their clusters' StatsRegistry counters are already torn down
+// here, so the export carries the process-wide payload pipeline counters:
+// the number these benches actually stress.
 int main(int argc, char** argv) {
   std::string metrics_path;
   std::vector<char*> passthrough;

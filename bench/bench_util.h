@@ -123,17 +123,6 @@ inline void RegisterEverything() {
   RegisterWorkloadPrograms();  // also provides the generic idle/sink/counter
 }
 
-// Cluster-wide counters and histograms (kernels + network) in the shared
-// StatsRegistry::Dump format.
-inline void DumpClusterStats(Cluster& cluster) {
-  StatsRegistry total = cluster.TotalStats();
-  total.Merge(cluster.network().stats());
-  if (cluster.reliable() != nullptr) {
-    total.Merge(cluster.reliable()->stats());
-  }
-  total.Dump(std::cout);
-}
-
 // `--trace-out=<path>` support: a bench that accepts it runs its clusters
 // with tracing enabled, merges every cluster's timeline, and writes one
 // Chrome trace_event JSON file at the end of the run.

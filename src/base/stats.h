@@ -1,255 +1,369 @@
-// Named counters and distributions used for the paper's cost accounting.
+// The counter and histogram catalog used for the paper's cost accounting.
 //
-// Each kernel owns a StatsRegistry; benches read the counters after a run to
-// regenerate the Section 6 tables (administrative message counts, forwarded
-// message overhead, bytes moved per migration, link-update latency, ...).
+// Each kernel and each transport layer owns a StatsRegistry; benches read the
+// counters after a run to regenerate the Section 6 tables (administrative
+// message counts, forwarded message overhead, bytes moved per migration,
+// link-update latency, ...).
+//
+// Every counter and histogram is a fixed slot indexed by the StatId / HistId
+// enums, so a count site is one relaxed atomic add: no string, no lock, no
+// allocation, and the registry's size never grows.  Names exist only for
+// readers (Get(name), Dump, the demos-metrics-v1 export) and come from the
+// same lists as the enums, so a name cannot drift from its slot.
 
 #ifndef DEMOS_BASE_STATS_H_
 #define DEMOS_BASE_STATS_H_
 
 #include <algorithm>
+#include <array>
 #include <atomic>
-#include <cmath>
+#include <bit>
 #include <cstdint>
-#include <map>
-#include <mutex>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <ostream>
-#include <shared_mutex>
-#include <string>
-#include <vector>
+#include <type_traits>
 
 namespace demos {
 
-// A recorded sample distribution with the handful of summary statistics the
-// benches print.
-class Distribution {
- public:
-  void Record(double value) {
-    samples_.push_back(value);
-    sorted_valid_ = false;
+// ---------------------------------------------------------------------------
+// The catalog.  X(enum entry, exported name).
+// ---------------------------------------------------------------------------
+
+#define DEMOS_STAT_LIST(X)                                                    \
+  /* Kernel message system (Sec. 2.1, 4). */                                  \
+  X(kMsgsSent, "msgs_sent")                                                   \
+  X(kMsgsDelivered, "msgs_delivered")                                         \
+  X(kMsgsForwarded, "msgs_forwarded")                                         \
+  X(kMsgsBounced, "msgs_bounced")                                             \
+  X(kWireBytesSent, "wire_bytes_sent")                                        \
+  X(kDeliverToKernelMsgs, "deliver_to_kernel_msgs")                           \
+  X(kLinkUpdateMsgs, "link_update_msgs")                                      \
+  X(kLinksPatched, "links_patched")                                           \
+  /* Migration protocol (Sec. 3.1) and its cost (Sec. 6). */                  \
+  X(kAdminMsgs, "admin_msgs")                                                 \
+  X(kAdminBytes, "admin_bytes")                                               \
+  X(kDataPackets, "data_packets")                                             \
+  X(kDataBytes, "data_bytes")                                                 \
+  X(kDataAcks, "data_acks")                                                   \
+  X(kMigrations, "migrations")                                                \
+  X(kMigrationsOut, "migrations_out")                                         \
+  X(kMigrationsNoop, "migrations_noop")                                       \
+  X(kMigrationsRefused, "migrations_refused")                                 \
+  X(kMigrationsTimedOut, "migrations_timed_out")                              \
+  X(kMigrationsReaped, "migrations_reaped")                                   \
+  X(kMigrationsAdopted, "migrations_adopted")                                 \
+  X(kMigrationsRefusedSuspect, "migrations_refused_suspect")                  \
+  X(kPeersSuspected, "peers_suspected")                                       \
+  X(kStaleMigrationMsgs, "migrations_stale_msgs")                             \
+  X(kPendingForwarded, "pending_forwarded")                                   \
+  /* Forwarding addresses and their garbage collection (Sec. 4). */           \
+  X(kForwardingAddresses, "forwarding_addresses")                             \
+  X(kForwardingSuperseded, "forwarding_superseded")                           \
+  X(kForwardingCleared, "forwarding_cleared")                                 \
+  X(kForwardingExpired, "forwarding_expired")                                 \
+  X(kGcRerouted, "gc_rerouted")                                               \
+  /* Churn-proof addressing: record reclaim, chain collapse, gossip. */       \
+  X(kFwdRecordsLive, "fwd_records_live")                                      \
+  X(kFwdReclaimed, "fwd_reclaimed")                                           \
+  X(kChainCollapses, "chain_collapses")                                       \
+  X(kChainCollapseApplied, "chain_collapse_applied")                          \
+  X(kLinkUpdateAcks, "link_update_acks")                                      \
+  X(kGossipRounds, "gossip_rounds")                                           \
+  X(kGossipRumors, "gossip_rumors")                                           \
+  X(kGossipAdvanced, "gossip_advanced")                                       \
+  X(kTombstonesReclaimed, "tombstones_reclaimed")                             \
+  X(kLocateRetries, "locate_retries")                                         \
+  X(kLocateGaveUp, "locate_gave_up")                                          \
+  X(kGossipReroutes, "gossip_reroutes")                                       \
+  X(kSendsRefused, "sends_refused")                                           \
+  /* SimNetwork. */                                                           \
+  X(kNetPacketsSent, "net_packets_sent")                                      \
+  X(kNetPacketsDropped, "net_packets_dropped")                                \
+  X(kNetPacketsDuplicated, "net_packets_duplicated")                          \
+  X(kNetBytesSent, "net_bytes_sent")                                          \
+  X(kNetLocalDeliveries, "net_local_deliveries")                              \
+  /* ReliableTransport. */                                                    \
+  X(kRelRetransmits, "rel_retransmits")                                       \
+  X(kRelAcksSent, "rel_acks_sent")                                            \
+  X(kRelDuplicatesDropped, "rel_duplicates_dropped")                          \
+  X(kRelGiveUps, "rel_give_ups")
+
+// Histograms.  The kernel records the first six; BuildTraceStats
+// (src/obs/trace_export.h) derives the rest from a trace, one per Sec. 3.1
+// phase in MigrationPhaseKind order.
+#define DEMOS_HIST_LIST(X)                                                    \
+  X(kAdminPayloadBytes, "admin_payload_bytes")                                \
+  X(kForwardHops, "forward_hops")                                             \
+  X(kTransferUs, "transfer_us")                                               \
+  X(kResidentStateBytes, "resident_state_bytes")                              \
+  X(kSwappableStateBytes, "swappable_state_bytes")                            \
+  X(kMemoryImageBytes, "memory_image_bytes")                                  \
+  X(kMigrationTotalUs, "migration_total_us")                                  \
+  X(kLinkUpdateLagUs, "link_update_lag_us")                                   \
+  X(kPhaseRequestUs, "phase_request_us")                                      \
+  X(kPhaseOfferUs, "phase_offer_us")                                          \
+  X(kPhaseAcceptUs, "phase_accept_us")                                        \
+  X(kPhaseMoveResidentUs, "phase_move_resident_us")                           \
+  X(kPhaseMoveSwappableUs, "phase_move_swappable_us")                         \
+  X(kPhaseMoveImageUs, "phase_move_image_us")                                 \
+  X(kPhaseTransferCompleteUs, "phase_transfer_complete_us")                   \
+  X(kPhaseRestartUs, "phase_restart_us")
+
+#define DEMOS_CATALOG_ENUM(id, name) id,
+enum class StatId : int { DEMOS_STAT_LIST(DEMOS_CATALOG_ENUM) kNumStats };
+enum class HistId : int { DEMOS_HIST_LIST(DEMOS_CATALOG_ENUM) kNumHists };
+#undef DEMOS_CATALOG_ENUM
+
+inline constexpr int kNumStatIds = static_cast<int>(StatId::kNumStats);
+inline constexpr int kNumHistIds = static_cast<int>(HistId::kNumHists);
+
+// Counter names as constants, for readers that look a counter up by name.
+namespace stat {
+#define DEMOS_CATALOG_NAME(id, name) inline constexpr const char* id = name;
+DEMOS_STAT_LIST(DEMOS_CATALOG_NAME)
+#undef DEMOS_CATALOG_NAME
+}  // namespace stat
+
+#define DEMOS_CATALOG_STRING(id, name) name,
+inline constexpr std::array<const char*, kNumStatIds> kStatNames = {
+    DEMOS_STAT_LIST(DEMOS_CATALOG_STRING)};
+inline constexpr std::array<const char*, kNumHistIds> kHistNames = {
+    DEMOS_HIST_LIST(DEMOS_CATALOG_STRING)};
+#undef DEMOS_CATALOG_STRING
+
+inline const char* StatName(StatId id) { return kStatNames[static_cast<std::size_t>(id)]; }
+inline const char* HistName(HistId id) { return kHistNames[static_cast<std::size_t>(id)]; }
+
+// ---------------------------------------------------------------------------
+// Fixed-bucket histograms: power-of-two buckets so Observe() is a bit_width
+// and one relaxed add.  Bucket 0 holds value 0, bucket i (i >= 1) holds
+// values in [2^(i-1), 2^i - 1], and the last bucket absorbs the tail.  The
+// one bucket scheme in the repo: StatsRegistry and the metrics engine's
+// per-shard slabs (src/obs/metrics.h) both record through AtomicHistogram.
+// ---------------------------------------------------------------------------
+
+inline constexpr int kHistogramBuckets = 20;
+
+inline int HistogramBucketOf(std::uint64_t value) {
+  const int b = static_cast<int>(std::bit_width(value));
+  return b < kHistogramBuckets ? b : kHistogramBuckets - 1;
+}
+
+// Inclusive lower bound of bucket `b` (0, 1, 2, 4, 8, ...).
+inline std::uint64_t HistogramBucketLowerBound(int b) {
+  return b == 0 ? 0 : std::uint64_t{1} << (b - 1);
+}
+
+// Inclusive upper bound of bucket `b`; the last bucket is unbounded
+// (UINT64_MAX stands in for +inf in exports).
+inline std::uint64_t HistogramBucketUpperBound(int b) {
+  if (b == 0) {
+    return 0;
   }
+  if (b >= kHistogramBuckets - 1) {
+    return ~std::uint64_t{0};
+  }
+  return (std::uint64_t{1} << b) - 1;
+}
 
-  std::size_t count() const { return samples_.size(); }
+struct HistogramSnapshot {
+  std::array<std::uint64_t, kHistogramBuckets> buckets{};
+  std::uint64_t count = 0;
+  std::uint64_t sum = 0;
+  std::uint64_t min = 0;  // exact; 0 when count == 0
+  std::uint64_t max = 0;  // exact; 0 when count == 0
 
-  double Sum() const {
-    double s = 0;
-    for (double v : samples_) {
-      s += v;
+  void Merge(const HistogramSnapshot& other) {
+    if (other.count == 0) {
+      return;
     }
-    return s;
-  }
-
-  double Mean() const { return samples_.empty() ? 0.0 : Sum() / static_cast<double>(count()); }
-
-  double Min() const {
-    return samples_.empty() ? 0.0 : *std::min_element(samples_.begin(), samples_.end());
-  }
-
-  double Max() const {
-    return samples_.empty() ? 0.0 : *std::max_element(samples_.begin(), samples_.end());
-  }
-
-  // Linearly interpolated percentile; p in [0, 100].  The sorted view is
-  // cached across calls and invalidated by Record, so summarizing one
-  // distribution at many percentiles sorts once, not per call.
-  double Percentile(double p) const {
-    if (samples_.empty()) {
-      return 0.0;
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+      buckets[i] += other.buckets[i];
     }
-    EnsureSorted();
-    p = std::clamp(p, 0.0, 100.0);
-    const double rank = p / 100.0 * static_cast<double>(sorted_.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    if (lo + 1 >= sorted_.size()) {
-      return sorted_.back();
-    }
-    const double frac = rank - std::floor(rank);
-    return sorted_[lo] + frac * (sorted_[lo + 1] - sorted_[lo]);
+    min = count == 0 ? other.min : std::min(min, other.min);
+    max = count == 0 ? other.max : std::max(max, other.max);
+    count += other.count;
+    sum += other.sum;
   }
+  double Mean() const { return count == 0 ? 0.0 : static_cast<double>(sum) / count; }
 
-  const std::vector<double>& samples() const { return samples_; }
-
- private:
-  void EnsureSorted() const {
-    if (!sorted_valid_) {
-      sorted_ = samples_;
-      std::sort(sorted_.begin(), sorted_.end());
-      sorted_valid_ = true;
+  // Upper bound of the bucket containing the q-th quantile (q in [0,1]).
+  std::uint64_t QuantileBound(double q) const {
+    if (count == 0) {
+      return 0;
     }
+    q = std::clamp(q, 0.0, 1.0);
+    const auto target = static_cast<std::uint64_t>(q * static_cast<double>(count - 1)) + 1;
+    std::uint64_t seen = 0;
+    for (int b = 0; b < kHistogramBuckets; ++b) {
+      seen += buckets[static_cast<std::size_t>(b)];
+      if (seen >= target) {
+        return HistogramBucketUpperBound(b);
+      }
+    }
+    return HistogramBucketUpperBound(kHistogramBuckets - 1);
   }
-
-  std::vector<double> samples_;
-  mutable std::vector<double> sorted_;
-  mutable bool sorted_valid_ = false;
 };
 
-// Thread-safety: each kernel owns one registry, but in the parallel engine
-// (src/run) shard threads increment their own registries while the coordinator
-// aggregates at quiescence, and cross-cutting code (benches, invariants) may
-// read any registry.  Counter increments are relaxed atomic fetch_adds on
-// stable map nodes; the map structure itself is guarded by a shared_mutex
-// taken exclusively only when a new counter name first appears.  Distribution
-// recording stays behind a plain mutex (it is off the per-message hot path).
+// Lock-free recorder behind HistogramSnapshot.  Any number of writers; a
+// reader may snapshot at any time and sees a point-in-time view (exact once
+// the writers are quiescent).
+class AtomicHistogram {
+ public:
+  void Observe(std::uint64_t value) {
+    // Extremes first, so a reader that sees the bucket also sees them.
+    LowerTo(min_, value);
+    RaiseTo(max_, value);
+    buckets_[static_cast<std::size_t>(HistogramBucketOf(value))].fetch_add(
+        1, std::memory_order_relaxed);
+    sum_.fetch_add(value, std::memory_order_relaxed);
+  }
+
+  void Merge(const HistogramSnapshot& h) {
+    if (h.count == 0) {
+      return;
+    }
+    LowerTo(min_, h.min);
+    RaiseTo(max_, h.max);
+    for (std::size_t b = 0; b < buckets_.size(); ++b) {
+      buckets_[b].fetch_add(h.buckets[b], std::memory_order_relaxed);
+    }
+    sum_.fetch_add(h.sum, std::memory_order_relaxed);
+  }
+
+  HistogramSnapshot Snapshot() const {
+    HistogramSnapshot out;
+    for (std::size_t b = 0; b < buckets_.size(); ++b) {
+      out.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
+      out.count += out.buckets[b];
+    }
+    out.sum = sum_.load(std::memory_order_relaxed);
+    if (out.count != 0) {
+      out.min = min_.load(std::memory_order_relaxed);
+      out.max = max_.load(std::memory_order_relaxed);
+    }
+    return out;
+  }
+
+  void Clear() {
+    for (auto& b : buckets_) {
+      b.store(0, std::memory_order_relaxed);
+    }
+    sum_.store(0, std::memory_order_relaxed);
+    min_.store(~std::uint64_t{0}, std::memory_order_relaxed);
+    max_.store(0, std::memory_order_relaxed);
+  }
+
+ private:
+  static void LowerTo(std::atomic<std::uint64_t>& slot, std::uint64_t v) {
+    std::uint64_t cur = slot.load(std::memory_order_relaxed);
+    while (v < cur && !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    }
+  }
+  static void RaiseTo(std::atomic<std::uint64_t>& slot, std::uint64_t v) {
+    std::uint64_t cur = slot.load(std::memory_order_relaxed);
+    while (v > cur && !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    }
+  }
+
+  std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets_{};
+  std::atomic<std::uint64_t> sum_{0};
+  std::atomic<std::uint64_t> min_{~std::uint64_t{0}};
+  std::atomic<std::uint64_t> max_{0};
+};
+
+// ---------------------------------------------------------------------------
+// StatsRegistry: one slot per catalog entry.
+// ---------------------------------------------------------------------------
+
+// Thread-safety: in the parallel engine (src/run) shard threads increment
+// their own kernels' registries while the coordinator aggregates at
+// quiescence, and cross-cutting code (benches, invariants) may read any
+// registry.  Every slot is a relaxed atomic, so any thread may add or read.
 class StatsRegistry {
  public:
   StatsRegistry() = default;
   StatsRegistry(const StatsRegistry& other) { Merge(other); }
   StatsRegistry& operator=(const StatsRegistry& other) {
     if (this != &other) {
-      Reset();
+      for (auto& c : counters_) {
+        c.store(0, std::memory_order_relaxed);
+      }
+      for (auto& h : histograms_) {
+        h.Clear();
+      }
       Merge(other);
     }
     return *this;
   }
 
-  void Add(const std::string& name, std::int64_t delta = 1) {
-    FindOrCreateCounter(name)->fetch_add(delta, std::memory_order_relaxed);
+  void Add(StatId id, std::int64_t delta = 1) {
+    counters_[static_cast<std::size_t>(id)].fetch_add(delta, std::memory_order_relaxed);
+  }
+  void Observe(HistId id, std::uint64_t value) {
+    histograms_[static_cast<std::size_t>(id)].Observe(value);
   }
 
-  std::int64_t Get(const std::string& name) const {
-    std::shared_lock lock(counters_mu_);
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second.load(std::memory_order_relaxed);
+  std::int64_t Get(StatId id) const {
+    return counters_[static_cast<std::size_t>(id)].load(std::memory_order_relaxed);
   }
-
-  void Record(const std::string& name, double value) {
-    std::lock_guard lock(distributions_mu_);
-    distributions_[name].Record(value);
-  }
-
-  // Pointer into the registry; stable (map nodes never move) but only safe to
-  // use once the recording threads are quiescent.
-  const Distribution* GetDistribution(const std::string& name) const {
-    std::lock_guard lock(distributions_mu_);
-    auto it = distributions_.find(name);
-    return it == distributions_.end() ? nullptr : &it->second;
-  }
-
-  // Point-in-time snapshot of every counter.
-  std::map<std::string, std::int64_t> counters() const {
-    std::shared_lock lock(counters_mu_);
-    std::map<std::string, std::int64_t> out;
-    for (const auto& [name, value] : counters_) {
-      out[name] = value.load(std::memory_order_relaxed);
+  // By exported name (stat::k*).  A name outside the catalog is a caller bug
+  // (a typo would otherwise read as a silent 0), so it aborts.
+  std::int64_t Get(const char* name) const {
+    for (int i = 0; i < kNumStatIds; ++i) {
+      if (std::strcmp(kStatNames[static_cast<std::size_t>(i)], name) == 0) {
+        return Get(static_cast<StatId>(i));
+      }
     }
-    return out;
+    std::fprintf(stderr, "StatsRegistry::Get: unknown stat name '%s'\n", name);
+    std::abort();
   }
-
-  void Reset() {
-    {
-      std::unique_lock lock(counters_mu_);
-      counters_.clear();
-    }
-    std::lock_guard lock(distributions_mu_);
-    distributions_.clear();
+  HistogramSnapshot Histogram(HistId id) const {
+    return histograms_[static_cast<std::size_t>(id)].Snapshot();
   }
 
   // Fold another registry into this one (used to aggregate per-kernel stats
   // into cluster-wide totals).
   void Merge(const StatsRegistry& other) {
-    for (const auto& [name, value] : other.counters()) {
-      Add(name, value);
+    for (int i = 0; i < kNumStatIds; ++i) {
+      Add(static_cast<StatId>(i), other.Get(static_cast<StatId>(i)));
     }
-    std::map<std::string, std::vector<double>> samples;
-    {
-      std::lock_guard lock(other.distributions_mu_);
-      for (const auto& [name, dist] : other.distributions_) {
-        samples[name] = dist.samples();
-      }
-    }
-    std::lock_guard lock(distributions_mu_);
-    for (const auto& [name, values] : samples) {
-      for (double v : values) {
-        distributions_[name].Record(v);
-      }
+    for (std::size_t i = 0; i < histograms_.size(); ++i) {
+      histograms_[i].Merge(other.histograms_[i].Snapshot());
     }
   }
 
-  // Human-readable report: sorted counters, then distribution summaries.
-  // Shared by benches, examples, and debugging sessions so the format cannot
-  // drift between them.
+  // Human-readable report: nonzero counters, then non-empty histograms, in
+  // catalog order.  Percentiles are bucket upper bounds (capped at the exact
+  // max).  Shared by benches, examples, and debugging sessions so the format
+  // cannot drift between them.
   void Dump(std::ostream& os) const {
-    for (const auto& [name, value] : counters()) {
-      os << "  " << name << " = " << value << "\n";
+    for (int i = 0; i < kNumStatIds; ++i) {
+      if (const std::int64_t value = Get(static_cast<StatId>(i)); value != 0) {
+        os << "  " << StatName(static_cast<StatId>(i)) << " = " << value << "\n";
+      }
     }
-    std::lock_guard lock(distributions_mu_);
-    for (const auto& [name, dist] : distributions_) {
-      os << "  " << name << ": n=" << dist.count() << " mean=" << dist.Mean()
-         << " min=" << dist.Min() << " p50=" << dist.Percentile(50)
-         << " p95=" << dist.Percentile(95) << " p99=" << dist.Percentile(99)
-         << " max=" << dist.Max() << "\n";
+    for (int i = 0; i < kNumHistIds; ++i) {
+      const HistogramSnapshot h = Histogram(static_cast<HistId>(i));
+      if (h.count == 0) {
+        continue;
+      }
+      const auto p = [&h](double q) { return std::min(h.QuantileBound(q), h.max); };
+      os << "  " << HistName(static_cast<HistId>(i)) << ": n=" << h.count
+         << " mean=" << h.Mean() << " min=" << h.min << " p50=" << p(0.50)
+         << " p95=" << p(0.95) << " p99=" << p(0.99) << " max=" << h.max << "\n";
     }
   }
 
  private:
-  std::atomic<std::int64_t>* FindOrCreateCounter(const std::string& name) {
-    {
-      std::shared_lock lock(counters_mu_);
-      auto it = counters_.find(name);
-      if (it != counters_.end()) {
-        return &it->second;
-      }
-    }
-    std::unique_lock lock(counters_mu_);
-    return &counters_[name];  // value-initialized to 0 on first touch
-  }
-
-  mutable std::shared_mutex counters_mu_;
-  std::map<std::string, std::atomic<std::int64_t>> counters_;
-  mutable std::mutex distributions_mu_;
-  std::map<std::string, Distribution> distributions_;
+  std::array<std::atomic<std::int64_t>, kNumStatIds> counters_{};
+  std::array<AtomicHistogram, kNumHistIds> histograms_{};
 };
 
-// Counter names used by the kernel.  Centralized so tests and benches cannot
-// drift from the implementation.
-namespace stat {
-inline constexpr const char* kMsgsSent = "msgs_sent";
-inline constexpr const char* kMsgsDelivered = "msgs_delivered";
-inline constexpr const char* kMsgsForwarded = "msgs_forwarded";
-inline constexpr const char* kMsgsBounced = "msgs_bounced";
-inline constexpr const char* kLinkUpdateMsgs = "link_update_msgs";
-inline constexpr const char* kLinksPatched = "links_patched";
-inline constexpr const char* kAdminMsgs = "admin_msgs";
-inline constexpr const char* kAdminBytes = "admin_bytes";
-inline constexpr const char* kDataPackets = "data_packets";
-inline constexpr const char* kDataBytes = "data_bytes";
-inline constexpr const char* kDataAcks = "data_acks";
-inline constexpr const char* kMigrations = "migrations";
-inline constexpr const char* kMigrationsRefused = "migrations_refused";
-inline constexpr const char* kMigrationsTimedOut = "migrations_timed_out";
-inline constexpr const char* kMigrationsReaped = "migrations_reaped";
-inline constexpr const char* kMigrationsAdopted = "migrations_adopted";
-inline constexpr const char* kMigrationsRefusedSuspect = "migrations_refused_suspect";
-inline constexpr const char* kPeersSuspected = "peers_suspected";
-inline constexpr const char* kStaleMigrationMsgs = "migrations_stale_msgs";
-inline constexpr const char* kPendingForwarded = "pending_forwarded";
-inline constexpr const char* kForwardingAddresses = "forwarding_addresses";
-inline constexpr const char* kWireBytesSent = "wire_bytes_sent";
-inline constexpr const char* kDeliverToKernelMsgs = "deliver_to_kernel_msgs";
-
-// Churn-proof addressing: forwarding-record GC, chain collapse, gossip.
-inline constexpr const char* kFwdRecordsLive = "fwd_records_live";
-inline constexpr const char* kFwdReclaimed = "fwd_reclaimed";
-inline constexpr const char* kChainCollapses = "chain_collapses";
-inline constexpr const char* kChainCollapseApplied = "chain_collapse_applied";
-inline constexpr const char* kLinkUpdateAcks = "link_update_acks";
-inline constexpr const char* kGossipRounds = "gossip_rounds";
-inline constexpr const char* kGossipRumors = "gossip_rumors";
-inline constexpr const char* kGossipAdvanced = "gossip_advanced";
-inline constexpr const char* kTombstonesReclaimed = "tombstones_reclaimed";
-inline constexpr const char* kLocateRetries = "locate_retries";
-inline constexpr const char* kLocateGaveUp = "locate_gave_up";
-inline constexpr const char* kGossipReroutes = "gossip_reroutes";
-inline constexpr const char* kSendsRefused = "sends_refused";
-
-// Distributions derived from the src/obs tracer (BuildTraceStats): per-phase
-// migration latency breakdown, forwarding-chain lengths, and lazy link-update
-// lag.  Phase distributions are named "phase_<name>_us" per
-// MigrationPhaseName() in src/obs/trace_export.h.
-inline constexpr const char* kMigrationTotalUs = "migration_total_us";
-inline constexpr const char* kForwardHops = "forward_hops";
-inline constexpr const char* kLinkUpdateLagUs = "link_update_lag_us";
-}  // namespace stat
+// Fixed slots only: the registry can never own memory that grows with a run.
+static_assert(std::is_trivially_destructible_v<StatsRegistry>);
 
 }  // namespace demos
 

@@ -80,9 +80,7 @@ class Cluster final : public Engine {
       if (config.trace_enabled) {
         reliable_->tracer().Enable();
       }
-      reliable_->SetObservability(
-          metrics_ ? &metrics_->shard(config.machines) : nullptr,
-          flight_ ? &flight_->recorder(config.machines) : nullptr);
+      reliable_->SetFlightRecorder(flight_ ? &flight_->recorder(config.machines) : nullptr);
     }
     kernels_.reserve(static_cast<std::size_t>(config.machines));
     for (int i = 0; i < config.machines; ++i) {
@@ -130,6 +128,13 @@ class Cluster final : public Engine {
   void Execute(MachineId /*m*/, std::function<void()> fn) override { fn(); }
 
   MetricsEngine* metrics() const override { return metrics_.get(); }
+  StatsRegistry TransportStats() const override {
+    StatsRegistry total = network_->stats();
+    if (reliable_) {
+      total.Merge(reliable_->stats());
+    }
+    return total;
+  }
   FlightRecorderHub* flight_recorder() override { return flight_.get(); }
 
   std::size_t RunUntilIdle(std::size_t max_events = 2'000'000) {

@@ -64,7 +64,9 @@ std::vector<const StatsRegistry*> Engine::KernelStats() const {
 }
 
 MetricsSnapshot Engine::BuildSnapshot() const {
-  return demos::BuildSnapshot(metrics(), KernelStats());
+  MetricsSnapshot snap = demos::BuildSnapshot(metrics(), KernelStats());
+  snap.kernel_total.Merge(TransportStats());
+  return snap;
 }
 
 Tracer Engine::TotalTrace() const {

@@ -123,7 +123,12 @@ class Engine {
   // BuildSnapshot / MetricsSampler::TakeSeries).
   std::vector<const StatsRegistry*> KernelStats() const;
 
-  // One demos-metrics-v1 snapshot: engine metrics + kernel counters.
+  // Counters of the transport layers under the kernels (the sequential
+  // engine's SimNetwork and ReliableTransport); empty by default.
+  virtual StatsRegistry TransportStats() const { return {}; }
+
+  // One demos-metrics-v1 snapshot: engine metrics + kernel counters, with
+  // the transport counters added to the kernel total.
   MetricsSnapshot BuildSnapshot() const;
 
   // Merge every layer's trace events into one time-sorted cluster timeline.

@@ -54,12 +54,8 @@ void ReliableTransport::ScheduleRetransmit(MachineId src, MachineId dst, std::ui
     }
     if (config_.max_retries != 0 && attempt > config_.max_retries) {
       DEMOS_LOG(kWarn, "rel") << "giving up on frame m" << src << "->m" << dst << " seq " << seq;
-      stats_.Add(stat::kRelGiveUps);
-      stats_.Add("rel_give_ups_m" + std::to_string(src) + "_to_m" + std::to_string(dst));
+      stats_.Add(StatId::kRelGiveUps);
       TraceFrame(trace::kGiveUp, src, seq, attempt);
-      if (metrics_ != nullptr) {
-        metrics_->Inc(CounterId::kRelGiveUps);
-      }
       if (flight_ != nullptr) {
         flight_->Record(FrEvent::kGiveUp, dst, seq);
       }
@@ -69,11 +65,8 @@ void ReliableTransport::ScheduleRetransmit(MachineId src, MachineId dst, std::ui
       }
       return;
     }
-    stats_.Add(stat::kRelRetransmits);
+    stats_.Add(StatId::kRelRetransmits);
     TraceFrame(trace::kRetransmit, src, seq, attempt);
-    if (metrics_ != nullptr) {
-      metrics_->Inc(CounterId::kRelRetransmits);
-    }
     if (flight_ != nullptr) {
       flight_->Record(FrEvent::kRetransmit, dst, seq);
     }
@@ -104,10 +97,7 @@ void ReliableTransport::OnLowerDelivery(MachineId dst, MachineId src, PayloadRef
 
   ReceiverState& recv = receivers_[PairKey{src, dst}];
   if (seq < recv.next_expected) {
-    stats_.Add(stat::kRelDuplicatesDropped);
-    if (metrics_ != nullptr) {
-      metrics_->Inc(CounterId::kRelDuplicatesDropped);
-    }
+    stats_.Add(StatId::kRelDuplicatesDropped);
   } else if (seq == recv.next_expected) {
     recv.next_expected++;
     auto hit = handlers_.find(dst);
@@ -126,17 +116,11 @@ void ReliableTransport::OnLowerDelivery(MachineId dst, MachineId src, PayloadRef
   } else {
     // Out of order: buffer unless duplicate.
     if (!recv.out_of_order.emplace(seq, std::move(payload)).second) {
-      stats_.Add(stat::kRelDuplicatesDropped);
-      if (metrics_ != nullptr) {
-        metrics_->Inc(CounterId::kRelDuplicatesDropped);
-      }
+      stats_.Add(StatId::kRelDuplicatesDropped);
     }
   }
 
-  stats_.Add(stat::kRelAcksSent);
-  if (metrics_ != nullptr) {
-    metrics_->Inc(CounterId::kRelAcksSent);
-  }
+  stats_.Add(StatId::kRelAcksSent);
   lower_.Send(dst, src, EncodeAck(recv.next_expected));
 }
 

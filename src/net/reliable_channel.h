@@ -20,7 +20,6 @@
 #include "src/base/stats.h"
 #include "src/net/transport.h"
 #include "src/obs/flight_recorder.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/event_queue.h"
 
@@ -46,6 +45,7 @@ class ReliableTransport final : public Transport {
   void Send(MachineId src, MachineId dst, PayloadRef payload) override;
 
   StatsRegistry& stats() { return stats_; }
+  const StatsRegistry& stats() const { return stats_; }
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
 
@@ -54,13 +54,10 @@ class ReliableTransport final : public Transport {
   using GiveUpHandler = std::function<void(MachineId src, MachineId dst, std::uint64_t seq)>;
   void set_on_give_up(GiveUpHandler handler) { on_give_up_ = std::move(handler); }
 
-  // Optional observability sinks (src/obs).  The channel runs single-threaded
-  // on one EventQueue, so one slab/recorder covers every machine pair; the
-  // chaos harness hands it the hub's harness slot.  Null detaches (default).
-  void SetObservability(MetricShard* metrics, FlightRecorder* flight) {
-    metrics_ = metrics;
-    flight_ = flight;
-  }
+  // Optional flight recorder (src/obs).  The channel runs single-threaded on
+  // one EventQueue, so one recorder covers every machine pair; the chaos
+  // harness hands it the hub's harness slot.  Null detaches (default).
+  void SetFlightRecorder(FlightRecorder* flight) { flight_ = flight; }
 
  private:
   struct PairKey {
@@ -114,16 +111,8 @@ class ReliableTransport final : public Transport {
   StatsRegistry stats_;
   Tracer tracer_;
   GiveUpHandler on_give_up_;
-  MetricShard* metrics_ = nullptr;
   FlightRecorder* flight_ = nullptr;
 };
-
-namespace stat {
-inline constexpr const char* kRelRetransmits = "rel_retransmits";
-inline constexpr const char* kRelAcksSent = "rel_acks_sent";
-inline constexpr const char* kRelDuplicatesDropped = "rel_duplicates_dropped";
-inline constexpr const char* kRelGiveUps = "rel_give_ups";
-}  // namespace stat
 
 }  // namespace demos
 

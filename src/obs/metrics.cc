@@ -39,14 +39,6 @@ const char* CounterName(CounterId id) {
       return "quiescence_polls";
     case CounterId::kQuiescenceVotes:
       return "quiescence_votes";
-    case CounterId::kRelRetransmits:
-      return "rel_retransmits";
-    case CounterId::kRelAcksSent:
-      return "rel_acks_sent";
-    case CounterId::kRelDuplicatesDropped:
-      return "rel_duplicates_dropped";
-    case CounterId::kRelGiveUps:
-      return "rel_give_ups";
     case CounterId::kLbtsWindows:
       return "lbts_windows";
     case CounterId::kSyncFramesClamped:
@@ -110,43 +102,6 @@ const char* HistogramName(HistogramId id) {
 }
 
 // ---------------------------------------------------------------------------
-// Histograms.
-// ---------------------------------------------------------------------------
-
-std::uint64_t HistogramSnapshot::QuantileBound(double q) const {
-  if (count == 0) {
-    return 0;
-  }
-  if (q < 0) {
-    q = 0;
-  }
-  if (q > 1) {
-    q = 1;
-  }
-  const auto target = static_cast<std::uint64_t>(q * static_cast<double>(count - 1)) + 1;
-  std::uint64_t seen = 0;
-  for (int b = 0; b < kHistogramBuckets; ++b) {
-    seen += buckets[static_cast<std::size_t>(b)];
-    if (seen >= target) {
-      return HistogramBucketUpperBound(b);
-    }
-  }
-  return HistogramBucketUpperBound(kHistogramBuckets - 1);
-}
-
-HistogramSnapshot MetricShard::Histogram(HistogramId id) const {
-  const Hist& h = histograms_[static_cast<std::size_t>(id)];
-  HistogramSnapshot out;
-  for (int b = 0; b < kHistogramBuckets; ++b) {
-    const std::uint64_t n = h.buckets[static_cast<std::size_t>(b)].load(std::memory_order_relaxed);
-    out.buckets[static_cast<std::size_t>(b)] = n;
-    out.count += n;
-  }
-  out.sum = h.sum.load(std::memory_order_relaxed);
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Snapshots.
 // ---------------------------------------------------------------------------
 
@@ -199,14 +154,9 @@ MetricsSnapshot BuildSnapshot(const MetricsEngine* engine,
   }
   snap.kernel_counters.resize(kernel_stats.size());
   for (std::size_t i = 0; i < kernel_stats.size(); ++i) {
-    if (kernel_stats[i] == nullptr) {
-      continue;
-    }
-    // Canonical v1 names carry the "kernel." prefix (see LegacyAliases).
-    for (const auto& [name, value] : kernel_stats[i]->counters()) {
-      const std::string canonical = "kernel." + name;
-      snap.kernel_counters[i][canonical] = value;
-      snap.kernel_total[canonical] += value;
+    if (kernel_stats[i] != nullptr) {
+      snap.kernel_counters[i] = *kernel_stats[i];
+      snap.kernel_total.Merge(*kernel_stats[i]);
     }
   }
   snap.payload_allocations = PayloadCounters::allocations.load(std::memory_order_relaxed);
@@ -214,59 +164,11 @@ MetricsSnapshot BuildSnapshot(const MetricsEngine* engine,
   return snap;
 }
 
-const std::map<std::string, std::string>& LegacyAliases() {
-  static const std::map<std::string, std::string>* aliases = [] {
-    auto* m = new std::map<std::string, std::string>;
-    // StatsRegistry::Dump names -> their demos-metrics-v1 home.
-    for (const char* name :
-         {stat::kMsgsSent,           stat::kMsgsDelivered,
-          stat::kMsgsForwarded,      stat::kMsgsBounced,
-          stat::kLinkUpdateMsgs,     stat::kLinksPatched,
-          stat::kAdminMsgs,          stat::kAdminBytes,
-          stat::kDataPackets,        stat::kDataBytes,
-          stat::kDataAcks,           stat::kMigrations,
-          stat::kMigrationsRefused,  stat::kMigrationsTimedOut,
-          stat::kMigrationsReaped,   stat::kMigrationsAdopted,
-          stat::kMigrationsRefusedSuspect, stat::kPeersSuspected,
-          stat::kStaleMigrationMsgs, stat::kPendingForwarded,
-          stat::kForwardingAddresses, stat::kWireBytesSent,
-          stat::kDeliverToKernelMsgs}) {
-      (*m)[name] = std::string("kernel.") + name;
-    }
-    // PayloadCounters statics.
-    (*m)["payload_allocations"] = "payload.allocations";
-    (*m)["payload_copied_bytes"] = "payload.copied_bytes";
-    return m;
-  }();
-  return *aliases;
-}
-
 // ---------------------------------------------------------------------------
 // JSON export.  Hand-rolled like trace_export.cc: no JSON dependency.
 // ---------------------------------------------------------------------------
 
 namespace {
-
-std::string JsonEscape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
 
 void WriteShardCounters(const ShardSnapshot& s, std::ostream& os) {
   os << "{";
@@ -303,12 +205,12 @@ void WriteShardHistograms(const ShardSnapshot& s, std::ostream& os) {
   os << "}";
 }
 
-void WriteStringIntMap(const std::map<std::string, std::int64_t>& m, std::ostream& os) {
+// Canonical demos-metrics-v1 names carry the "kernel." prefix.
+void WriteKernelCounters(const StatsRegistry& stats, std::ostream& os) {
   os << "{";
-  bool first = true;
-  for (const auto& [name, value] : m) {
-    os << (first ? "" : ",") << "\"" << JsonEscape(name) << "\":" << value;
-    first = false;
+  for (int i = 0; i < kNumStatIds; ++i) {
+    os << (i == 0 ? "" : ",") << "\"kernel." << StatName(static_cast<StatId>(i))
+       << "\":" << stats.Get(static_cast<StatId>(i));
   }
   os << "}";
 }
@@ -337,11 +239,11 @@ void WriteSnapshotObject(const MetricsSnapshot& snap, std::ostream& os) {
     WriteShardHistograms(snap.shards[s], os);
   }
   os << "]},\"kernel\":{\"total\":";
-  WriteStringIntMap(snap.kernel_total, os);
+  WriteKernelCounters(snap.kernel_total, os);
   os << ",\"per_shard\":[";
   for (std::size_t s = 0; s < snap.kernel_counters.size(); ++s) {
     os << (s == 0 ? "" : ",");
-    WriteStringIntMap(snap.kernel_counters[s], os);
+    WriteKernelCounters(snap.kernel_counters[s], os);
   }
   os << "]},\"payload\":{\"allocations\":" << snap.payload_allocations
      << ",\"copied_bytes\":" << snap.payload_copied_bytes << "}}";
@@ -356,16 +258,6 @@ void WriteMetricsJson(const MetricsTimeSeries& series, std::ostream& os) {
     os << (b == 0 ? "" : ",") << HistogramBucketLowerBound(b);
   }
   os << "],";
-  os << "\"aliases\":{";
-  {
-    bool first = true;
-    for (const auto& [old_name, new_name] : LegacyAliases()) {
-      os << (first ? "" : ",") << "\"" << JsonEscape(old_name) << "\":\"" << JsonEscape(new_name)
-         << "\"";
-      first = false;
-    }
-  }
-  os << "},";
   os << "\"interval_seconds\":" << series.interval_seconds << ",";
   // Sampled time series: counters + gauges only (histograms are final-only;
   // per-sample bucket arrays would dominate the file for no analytic gain).
@@ -432,16 +324,11 @@ void WritePrometheusText(const MetricsSnapshot& snapshot, std::ostream& os) {
     os << "demos_" << name << "_sum " << h.sum << "\n";
     os << "demos_" << name << "_count " << h.count << "\n";
   }
-  for (const auto& [name, value] : snapshot.kernel_total) {
-    // Names arrive canonical ("kernel.msgs_sent"); dots are not legal in
-    // Prometheus metric names, so they flatten to underscores.
-    std::string flat = name;
-    for (char& c : flat) {
-      if (c == '.') {
-        c = '_';
-      }
-    }
-    os << "demos_" << flat << " " << value << "\n";
+  for (int i = 0; i < kNumStatIds; ++i) {
+    // "kernel.msgs_sent" flattens to demos_kernel_msgs_sent: dots are not
+    // legal in Prometheus metric names.
+    os << "demos_kernel_" << StatName(static_cast<StatId>(i)) << " "
+       << snapshot.kernel_total.Get(static_cast<StatId>(i)) << "\n";
   }
   os << "demos_payload_allocations " << snapshot.payload_allocations << "\n";
   os << "demos_payload_copied_bytes " << snapshot.payload_copied_bytes << "\n";

@@ -10,15 +10,13 @@
 //     snapshot taken mid-run is a coherent-enough point-in-time view without
 //     a single lock anywhere.
 //   - No string lookups on the hot path.  The metric catalog is a fixed enum
-//     (CounterId/GaugeId/HistogramId); names exist only at export time.
-//     (Contrast StatsRegistry, whose map-by-name Add() is fine for the
-//     kernel's per-event accounting but too heavy for per-message runtime
-//     counters.)
-//   - One snapshot API.  BuildSnapshot() folds the legacy sources -- the
-//     kernels' StatsRegistry counters and the process-wide PayloadCounters --
-//     into the same MetricsSnapshot, so exporters emit one coherent view and
-//     nothing is double-counted.  The legacy dump entry points remain as
-//     aliases for one release (see LegacyAliases()).
+//     (CounterId/GaugeId/HistogramId); names exist only at export time.  The
+//     kernels' StatsRegistry (src/base/stats.h) follows the same rule with
+//     its StatId/HistId catalog and shares this engine's histogram buckets.
+//   - One snapshot API.  BuildSnapshot() adds the kernels' StatsRegistry
+//     counters and the process-wide PayloadCounters to the same
+//     MetricsSnapshot, so exporters emit one coherent view and nothing is
+//     double-counted.
 //
 // Exports: demos-metrics-v1 JSON (final snapshot + optional sampled time
 // series) and a Prometheus-style text exposition.  docs/OBSERVABILITY.md is
@@ -29,13 +27,11 @@
 
 #include <array>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -68,11 +64,6 @@ enum class CounterId : int {
   // Quiescence detection (coordinator shard slot only).
   kQuiescencePolls,       // snapshots taken by RunUntilQuiescent
   kQuiescenceVotes,       // snapshots that looked quiet
-  // ReliableChannel (sequential/lossy engine).
-  kRelRetransmits,
-  kRelAcksSent,
-  kRelDuplicatesDropped,
-  kRelGiveUps,
   // Conservative virtual-time sync (src/run/virtual_time.h).
   kLbtsWindows,        // windows opened by the coordinator (coordinator slot)
   kSyncFramesClamped,  // cross-shard frames whose arrival was clamped to the
@@ -121,53 +112,6 @@ const char* GaugeName(GaugeId id);
 const char* HistogramName(HistogramId id);
 
 // ---------------------------------------------------------------------------
-// Fixed-bucket histograms: power-of-two buckets so Observe() is a bit_width
-// and one relaxed add.  Bucket 0 holds value 0, bucket i (i >= 1) holds
-// values in [2^(i-1), 2^i - 1], and the last bucket absorbs the tail.
-// ---------------------------------------------------------------------------
-
-inline constexpr int kHistogramBuckets = 20;
-
-inline int HistogramBucketOf(std::uint64_t value) {
-  const int b = static_cast<int>(std::bit_width(value));
-  return b < kHistogramBuckets ? b : kHistogramBuckets - 1;
-}
-
-// Inclusive lower bound of bucket `b` (0, 1, 2, 4, 8, ...).
-inline std::uint64_t HistogramBucketLowerBound(int b) {
-  return b == 0 ? 0 : std::uint64_t{1} << (b - 1);
-}
-
-// Inclusive upper bound of bucket `b`; the last bucket is unbounded
-// (UINT64_MAX stands in for +inf in exports).
-inline std::uint64_t HistogramBucketUpperBound(int b) {
-  if (b == 0) {
-    return 0;
-  }
-  if (b >= kHistogramBuckets - 1) {
-    return ~std::uint64_t{0};
-  }
-  return (std::uint64_t{1} << b) - 1;
-}
-
-struct HistogramSnapshot {
-  std::array<std::uint64_t, kHistogramBuckets> buckets{};
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-
-  void Merge(const HistogramSnapshot& other) {
-    for (int i = 0; i < kHistogramBuckets; ++i) {
-      buckets[static_cast<std::size_t>(i)] += other.buckets[static_cast<std::size_t>(i)];
-    }
-    count += other.count;
-    sum += other.sum;
-  }
-  double Mean() const { return count == 0 ? 0.0 : static_cast<double>(sum) / count; }
-  // Upper bound of the bucket containing the q-th quantile (q in [0,1]).
-  std::uint64_t QuantileBound(double q) const;
-};
-
-// ---------------------------------------------------------------------------
 // Per-shard slab.  Single writer (the owning shard thread), any reader.
 // ---------------------------------------------------------------------------
 
@@ -180,10 +124,7 @@ class alignas(64) MetricShard {
     gauges_[static_cast<std::size_t>(id)].store(value, std::memory_order_relaxed);
   }
   void Observe(HistogramId id, std::uint64_t value) {
-    Hist& h = histograms_[static_cast<std::size_t>(id)];
-    h.buckets[static_cast<std::size_t>(HistogramBucketOf(value))].fetch_add(
-        1, std::memory_order_relaxed);
-    h.sum.fetch_add(value, std::memory_order_relaxed);
+    histograms_[static_cast<std::size_t>(id)].Observe(value);
   }
 
   std::uint64_t Counter(CounterId id) const {
@@ -192,17 +133,14 @@ class alignas(64) MetricShard {
   std::int64_t Gauge(GaugeId id) const {
     return gauges_[static_cast<std::size_t>(id)].load(std::memory_order_relaxed);
   }
-  HistogramSnapshot Histogram(HistogramId id) const;
+  HistogramSnapshot Histogram(HistogramId id) const {
+    return histograms_[static_cast<std::size_t>(id)].Snapshot();
+  }
 
  private:
-  struct Hist {
-    std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
-    std::atomic<std::uint64_t> sum{0};
-  };
-
   std::array<std::atomic<std::uint64_t>, kNumCounterIds> counters_{};
   std::array<std::atomic<std::int64_t>, kNumGaugeIds> gauges_{};
-  std::array<Hist, kNumHistogramIds> histograms_{};
+  std::array<AtomicHistogram, kNumHistogramIds> histograms_{};
 };
 
 // ---------------------------------------------------------------------------
@@ -222,10 +160,10 @@ struct MetricsSnapshot {
   std::vector<ShardSnapshot> shards;
   ShardSnapshot total;
 
-  // Folded legacy sources: the kernels' StatsRegistry counters (index =
-  // shard; totals merged) and the process-wide payload-pipeline counters.
-  std::vector<std::map<std::string, std::int64_t>> kernel_counters;
-  std::map<std::string, std::int64_t> kernel_total;
+  // The kernels' StatsRegistry counters (index = machine; totals merged) and
+  // the process-wide payload-pipeline counters.
+  std::vector<StatsRegistry> kernel_counters;
+  StatsRegistry kernel_total;
   std::uint64_t payload_allocations = 0;
   std::uint64_t payload_copied_bytes = 0;
 };
@@ -251,19 +189,12 @@ class MetricsEngine {
   std::vector<std::unique_ptr<MetricShard>> shards_;
 };
 
-// The one snapshot API: runtime metrics plus the folded legacy sources.
-// `kernel_stats[i]` is shard i's StatsRegistry (null entries skipped); extra
-// registries (network, reliable channel) can be appended past the shard
-// count and land in the totals only.  `engine` may be null (legacy-only
-// snapshot, used by benches that have no parallel runtime).
+// The one snapshot API: runtime metrics plus the kernel and payload counters.
+// `kernel_stats[i]` is machine i's StatsRegistry (null entries count as
+// empty).  `engine` may be null (no runtime slabs, used by benches that have
+// no parallel runtime).
 MetricsSnapshot BuildSnapshot(const MetricsEngine* engine,
                               const std::vector<const StatsRegistry*>& kernel_stats = {});
-
-// Old dump name -> canonical demos-metrics-v1 name, for every legacy counter
-// that the fold renames (StatsRegistry names gain a "kernel." prefix, payload
-// counters a "payload." prefix).  Kept for one release so dashboards keyed on
-// the old StatsRegistry::Dump names can migrate.
-const std::map<std::string, std::string>& LegacyAliases();
 
 // ---------------------------------------------------------------------------
 // demos-metrics-v1 export.
@@ -283,8 +214,8 @@ struct MetricsTimeSeries {
 };
 
 // Stable JSON: schema tag, shard count, final per-shard + total counters,
-// gauges, histograms (bucket bounds included), folded kernel/payload
-// counters, the legacy alias map, and the sampled time series.
+// gauges, histograms (bucket bounds included), kernel counters under their
+// "kernel."-prefixed names, payload counters, and the sampled time series.
 void WriteMetricsJson(const MetricsTimeSeries& series, std::ostream& os);
 bool WriteMetricsJsonFile(const MetricsTimeSeries& series, const std::string& path);
 
@@ -316,7 +247,7 @@ class MetricsSampler {
   // Stop the thread and take one final sample (idempotent).
   void Stop();
 
-  // Also folds legacy sources into the final snapshot of the returned series.
+  // Also adds the kernel counters to the final snapshot of the returned series.
   MetricsTimeSeries TakeSeries(const std::vector<const StatsRegistry*>& kernel_stats = {});
 
  private:

@@ -16,7 +16,7 @@
 // (call sites additionally guard with enabled() so no arguments are even
 // evaluated).  Tracers merge cluster-wide exactly like StatsRegistry;
 // src/obs/trace_export.h turns the merged stream into Chrome trace_event
-// JSON, per-migration span trees, per-message lifecycles, and Distribution
+// JSON, per-migration span trees, per-message lifecycles, and derived
 // histograms.
 
 #ifndef DEMOS_OBS_TRACE_H_

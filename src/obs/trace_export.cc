@@ -251,15 +251,27 @@ std::vector<MessageTrace> BuildMessageTraces(const std::vector<TraceEvent>& even
   return out;
 }
 
+namespace {
+
+// The phase histograms sit in the catalog in MigrationPhaseKind order.
+static_assert(static_cast<int>(HistId::kPhaseRestartUs) - static_cast<int>(HistId::kPhaseRequestUs) +
+                  1 ==
+              kNumMigrationPhases);
+
+HistId PhaseHist(MigrationPhaseKind kind) {
+  return static_cast<HistId>(static_cast<int>(HistId::kPhaseRequestUs) + static_cast<int>(kind));
+}
+
+}  // namespace
+
 void BuildTraceStats(const std::vector<TraceEvent>& events, StatsRegistry* registry) {
   for (const MigrationSpan& span : BuildMigrationSpans(events)) {
     if (span.completed) {
-      registry->Record(stat::kMigrationTotalUs, static_cast<double>(span.duration()));
+      registry->Observe(HistId::kMigrationTotalUs, span.duration());
     }
     for (const MigrationPhaseSpan& phase : span.phases) {
       if (phase.valid) {
-        registry->Record(std::string("phase_") + MigrationPhaseName(phase.kind) + "_us",
-                         static_cast<double>(phase.duration()));
+        registry->Observe(PhaseHist(phase.kind), phase.duration());
       }
     }
   }
@@ -277,7 +289,7 @@ void BuildTraceStats(const std::vector<TraceEvent>& events, StatsRegistry* regis
     } else if (IsName(ev, trace::kLinkUpdateApplied)) {
       auto it = update_sent.find(ev.id);
       if (it != update_sent.end()) {
-        registry->Record(stat::kLinkUpdateLagUs, static_cast<double>(ev.ts - it->second));
+        registry->Observe(HistId::kLinkUpdateLagUs, ev.ts - it->second);
         update_sent.erase(it);
       }
     }
@@ -285,7 +297,7 @@ void BuildTraceStats(const std::vector<TraceEvent>& events, StatsRegistry* regis
 
   for (const MessageTrace& msg : BuildMessageTraces(events)) {
     if (msg.hops > 0) {
-      registry->Record(stat::kForwardHops, static_cast<double>(msg.hops));
+      registry->Observe(HistId::kForwardHops, msg.hops);
     }
   }
 }

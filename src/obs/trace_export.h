@@ -1,5 +1,5 @@
 // Trace analysis and export: Chrome trace_event JSON, per-migration span
-// trees, per-message lifecycles, summary tables, and Distribution histograms.
+// trees, per-message lifecycles, summary tables, and derived histograms.
 //
 // The kernels record *instants* (cheap, single-push); this layer pairs them
 // into spans after the fact.  Pairing is keyed on the correlation id carried
@@ -83,9 +83,8 @@ std::vector<MigrationSpan> BuildMigrationSpans(const std::vector<TraceEvent>& ev
 // Pair message-lifecycle instants into per-message records (send order).
 std::vector<MessageTrace> BuildMessageTraces(const std::vector<TraceEvent>& events);
 
-// Record the derived histograms into `registry`:
-//   stat::kMigrationTotalUs, phase_<name>_us (8x), stat::kForwardHops,
-//   stat::kLinkUpdateLagUs.
+// Record the derived histograms into `registry`: HistId::kMigrationTotalUs,
+// the eight HistId::kPhase*Us, HistId::kForwardHops, HistId::kLinkUpdateLagUs.
 void BuildTraceStats(const std::vector<TraceEvent>& events, StatsRegistry* registry);
 
 // Chrome trace_event JSON ({"traceEvents":[...]}) loadable in chrome://tracing

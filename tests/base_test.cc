@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <thread>
@@ -189,57 +190,101 @@ TEST(RngTest, ForkProducesIndependentStream) {
 
 TEST(StatsTest, CountersAccumulate) {
   StatsRegistry stats;
-  stats.Add("x");
-  stats.Add("x", 4);
-  EXPECT_EQ(stats.Get("x"), 5);
-  EXPECT_EQ(stats.Get("missing"), 0);
+  stats.Add(StatId::kMsgsSent);
+  stats.Add(StatId::kMsgsSent, 4);
+  stats.Add(StatId::kFwdRecordsLive, 2);
+  stats.Add(StatId::kFwdRecordsLive, -1);  // level-style counters go down too
+  EXPECT_EQ(stats.Get(StatId::kMsgsSent), 5);
+  EXPECT_EQ(stats.Get(stat::kMsgsSent), 5);
+  EXPECT_EQ(stats.Get(StatId::kFwdRecordsLive), 1);
+  EXPECT_EQ(stats.Get(StatId::kMsgsDelivered), 0);
 }
 
-TEST(StatsTest, DistributionSummary) {
+TEST(StatsTest, EveryCatalogEntryHasAUniqueNameThatReadsItsSlot) {
+  std::set<std::string> names;
   StatsRegistry stats;
-  for (double v : {1.0, 2.0, 3.0, 4.0}) {
-    stats.Record("d", v);
+  for (int i = 0; i < kNumStatIds; ++i) {
+    const auto id = static_cast<StatId>(i);
+    EXPECT_TRUE(names.insert(StatName(id)).second) << StatName(id);
+    stats.Add(id, i + 1);
   }
-  const Distribution* d = stats.GetDistribution("d");
-  ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->count(), 4u);
-  EXPECT_DOUBLE_EQ(d->Mean(), 2.5);
-  EXPECT_DOUBLE_EQ(d->Min(), 1.0);
-  EXPECT_DOUBLE_EQ(d->Max(), 4.0);
-  EXPECT_DOUBLE_EQ(d->Percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(d->Percentile(100), 4.0);
+  for (int i = 0; i < kNumStatIds; ++i) {
+    const auto id = static_cast<StatId>(i);
+    EXPECT_EQ(stats.Get(StatName(id)), stats.Get(id)) << StatName(id);
+    EXPECT_EQ(stats.Get(id), i + 1) << StatName(id);
+  }
+  for (int i = 0; i < kNumHistIds; ++i) {
+    const char* name = HistName(static_cast<HistId>(i));
+    EXPECT_TRUE(names.insert(name).second) << name;
+  }
+}
+
+// A typo in a counter name used to read as a silent 0.
+TEST(StatsDeathTest, UnknownNameAborts) {
+  StatsRegistry stats;
+  EXPECT_DEATH((void)stats.Get("msgs_snet"), "unknown stat name 'msgs_snet'");
+}
+
+TEST(StatsTest, HistogramKeepsExactSummaryAndBucketedP99) {
+  StatsRegistry stats;
+  std::vector<std::uint64_t> values;
+  Rng rng(7);
+  for (int i = 0; i < 1000; ++i) {
+    values.push_back(3 + rng.Below(5000));
+  }
+  std::uint64_t sum = 0;
+  for (const std::uint64_t v : values) {
+    stats.Observe(HistId::kTransferUs, v);
+    sum += v;
+  }
+  const HistogramSnapshot h = stats.Histogram(HistId::kTransferUs);
+  std::sort(values.begin(), values.end());
+  EXPECT_EQ(h.count, values.size());
+  EXPECT_EQ(h.sum, sum);
+  EXPECT_EQ(h.min, values.front());
+  EXPECT_EQ(h.max, values.back());
+  EXPECT_DOUBLE_EQ(h.Mean(), static_cast<double>(sum) / 1000.0);
+  // Nearest-rank p99 of the exact samples shares a bucket with the bound.
+  const std::uint64_t exact_p99 = values[static_cast<std::size_t>(0.99 * 999)];
+  EXPECT_EQ(HistogramBucketOf(h.QuantileBound(0.99)), HistogramBucketOf(exact_p99));
+  // An untouched histogram reads as all zeros.
+  const HistogramSnapshot empty = stats.Histogram(HistId::kForwardHops);
+  EXPECT_EQ(empty.count, 0u);
+  EXPECT_EQ(empty.min, 0u);
+  EXPECT_EQ(empty.max, 0u);
 }
 
 TEST(StatsTest, MergeCombines) {
   StatsRegistry a;
   StatsRegistry b;
-  a.Add("n", 2);
-  b.Add("n", 3);
-  b.Record("d", 7.0);
+  a.Add(StatId::kMsgsSent, 2);
+  b.Add(StatId::kMsgsSent, 3);
+  a.Observe(HistId::kForwardHops, 4);
+  b.Observe(HistId::kForwardHops, 1);
+  b.Observe(HistId::kForwardHops, 9);
   a.Merge(b);
-  EXPECT_EQ(a.Get("n"), 5);
-  ASSERT_NE(a.GetDistribution("d"), nullptr);
-  EXPECT_EQ(a.GetDistribution("d")->count(), 1u);
-}
-
-TEST(StatsTest, ResetClears) {
-  StatsRegistry stats;
-  stats.Add("n");
-  stats.Record("d", 1.0);
-  stats.Reset();
-  EXPECT_EQ(stats.Get("n"), 0);
-  EXPECT_EQ(stats.GetDistribution("d"), nullptr);
+  EXPECT_EQ(a.Get(StatId::kMsgsSent), 5);
+  const HistogramSnapshot h = a.Histogram(HistId::kForwardHops);
+  EXPECT_EQ(h.count, 3u);
+  EXPECT_EQ(h.sum, 14u);
+  EXPECT_EQ(h.min, 1u);
+  EXPECT_EQ(h.max, 9u);
 }
 
 TEST(StatsTest, CopyTakesSnapshot) {
   StatsRegistry a;
-  a.Add("n", 7);
-  a.Record("d", 1.0);
+  a.Add(StatId::kMsgsSent, 7);
+  a.Observe(HistId::kForwardHops, 1);
   StatsRegistry b = a;
-  a.Add("n", 1);
-  EXPECT_EQ(b.Get("n"), 7);
-  ASSERT_NE(b.GetDistribution("d"), nullptr);
-  EXPECT_EQ(b.GetDistribution("d")->count(), 1u);
+  a.Add(StatId::kMsgsSent, 1);
+  a.Observe(HistId::kForwardHops, 5);
+  EXPECT_EQ(b.Get(StatId::kMsgsSent), 7);
+  EXPECT_EQ(b.Histogram(HistId::kForwardHops).count, 1u);
+  // Assignment replaces, not adds.
+  b = a;
+  EXPECT_EQ(b.Get(StatId::kMsgsSent), 8);
+  EXPECT_EQ(b.Histogram(HistId::kForwardHops).count, 2u);
+  EXPECT_EQ(b.Histogram(HistId::kForwardHops).max, 5u);
 }
 
 // The parallel engine increments counters from every shard thread (and the
@@ -252,11 +297,12 @@ TEST(StatsTest, ConcurrentIncrementsDoNotTear) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&stats, t] {
+      const auto own = static_cast<StatId>(1 + t);
       for (int i = 0; i < kPerThread; ++i) {
-        stats.Add("shared");
-        stats.Add("per_thread_" + std::to_string(t));
+        stats.Add(StatId::kMsgsSent);
+        stats.Add(own);
         if (i % 64 == 0) {
-          stats.Record("dist", static_cast<double>(i));
+          stats.Observe(HistId::kForwardHops, static_cast<std::uint64_t>(i));
         }
       }
     });
@@ -264,13 +310,14 @@ TEST(StatsTest, ConcurrentIncrementsDoNotTear) {
   for (auto& t : threads) {
     t.join();
   }
-  EXPECT_EQ(stats.Get("shared"), kThreads * kPerThread);
+  EXPECT_EQ(stats.Get(StatId::kMsgsSent), kThreads * kPerThread);
   for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(stats.Get("per_thread_" + std::to_string(t)), kPerThread);
+    EXPECT_EQ(stats.Get(static_cast<StatId>(1 + t)), kPerThread);
   }
-  ASSERT_NE(stats.GetDistribution("dist"), nullptr);
-  EXPECT_EQ(stats.GetDistribution("dist")->count(),
-            static_cast<std::size_t>(kThreads) * ((kPerThread + 63) / 64));
+  const HistogramSnapshot h = stats.Histogram(HistId::kForwardHops);
+  EXPECT_EQ(h.count, static_cast<std::uint64_t>(kThreads) * ((kPerThread + 63) / 64));
+  EXPECT_EQ(h.min, 0u);
+  EXPECT_EQ(h.max, static_cast<std::uint64_t>((kPerThread - 1) / 64 * 64));
 }
 
 TEST(PayloadCountersTest, ConcurrentCountsDoNotTear) {

@@ -227,7 +227,7 @@ TEST_F(ChurnTest, DrainedRecordReclaimedAfterGraceAndLateTrafficReroutes) {
   cluster.kernel(2).SendFromKernel(ProcessAddress{0, mover->pid}, kIncrement, {});
   cluster.RunUntilIdle();
   EXPECT_EQ(CounterValue(cluster, mover->pid), 1u);
-  EXPECT_GE(cluster.TotalStat("gc_rerouted"), 1);
+  EXPECT_GE(cluster.TotalStat(stat::kGcRerouted), 1);
 }
 
 TEST_F(ChurnTest, TombstoneReclaimedPastWatermarkAndLateTrafficBounces) {

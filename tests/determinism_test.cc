@@ -23,6 +23,15 @@ class DeterminismTest : public ::testing::Test {
   }
 };
 
+// Every catalog counter by name, so a mismatch names the counter that moved.
+std::map<std::string, std::int64_t> CountersByName(const StatsRegistry& stats) {
+  std::map<std::string, std::int64_t> out;
+  for (int i = 0; i < kNumStatIds; ++i) {
+    out[StatName(static_cast<StatId>(i))] = stats.Get(static_cast<StatId>(i));
+  }
+  return out;
+}
+
 // A busy scenario: system boot, file I/O, an FS migration, a client
 // migration, and a kill.  Returns every cluster-wide counter.
 std::map<std::string, std::int64_t> RunScenario(std::uint64_t net_seed) {
@@ -58,8 +67,7 @@ std::map<std::string, std::int64_t> RunScenario(std::uint64_t net_seed) {
   });
   cluster.RunFor(400'000);
 
-  StatsRegistry total = cluster.TotalStats();
-  std::map<std::string, std::int64_t> counters = total.counters();
+  std::map<std::string, std::int64_t> counters = CountersByName(cluster.TotalStats());
   // Fold in delivery results so payload contents are covered too.
   for (std::size_t i = 0; i < clients.size(); ++i) {
     FsClientResults results = testutil::ReadFsClientResults(cluster, clients[i]);
@@ -106,8 +114,7 @@ TEST_F(DeterminismTest, LossyRunsAreRepeatableToo) {
     (void)cluster.kernel(0).StartMigration(counter->pid, 1,
                                            cluster.kernel(0).kernel_address());
     cluster.RunUntilIdle();
-    StatsRegistry total = cluster.TotalStats();
-    auto counters = total.counters();
+    auto counters = CountersByName(cluster.TotalStats());
     counters["retransmits"] = cluster.reliable()->stats().Get(stat::kRelRetransmits);
     counters["final_time"] = static_cast<std::int64_t>(cluster.queue().Now());
     return counters;

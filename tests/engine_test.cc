@@ -122,7 +122,7 @@ TEST_F(EngineTest, HarnessSurfaceRunsUnchangedOnBothEngines) {
       }
     }
     const MetricsSnapshot snap = engine->BuildSnapshot();
-    EXPECT_EQ(snap.kernel_total.at("kernel.msgs_delivered"),
+    EXPECT_EQ(snap.kernel_total.Get(StatId::kMsgsDelivered),
               engine->TotalStat(stat::kMsgsDelivered));
   }
 }

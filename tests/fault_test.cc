@@ -400,7 +400,7 @@ TEST_F(FaultTest, DestinationDiesPermanentlyMidTransferSourceRollsBack) {
   EXPECT_GE(TraceCount(cluster.kernel(0), trace::kCancelSent), 1);
 
   // The reliable channel gave up on the corpse and fed the suspect list.
-  EXPECT_GE(cluster.reliable()->stats().Get("rel_give_ups_m0_to_m1"), 1);
+  EXPECT_GE(cluster.reliable()->stats().Get(StatId::kRelGiveUps), 1);
   EXPECT_TRUE(cluster.kernel(0).IsPeerSuspect(1));
 
   // Policy refuses to re-offer toward a suspect peer -- no freeze, just a

@@ -243,7 +243,7 @@ TEST_F(ForwardingTest, GcOnDeathClearsForwardingAddresses) {
   cluster.RunUntilIdle();
   EXPECT_EQ(cluster.kernel(0).process_table().ForwardingAddressCount(), 0u);
   EXPECT_EQ(cluster.kernel(1).process_table().ForwardingAddressCount(), 0u);
-  EXPECT_EQ(cluster.TotalStat("forwarding_cleared"), 2);
+  EXPECT_EQ(cluster.TotalStat(stat::kForwardingCleared), 2);
 }
 
 TEST_F(ForwardingTest, KeepForeverRetainsForwardingAddresses) {

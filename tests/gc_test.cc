@@ -43,7 +43,7 @@ TEST_F(GcTest, FreshForwardingAddressStillForwards) {
   cluster.RunUntilIdle();
   EXPECT_EQ(CounterValue(cluster, counter->pid), 1u);
   EXPECT_EQ(cluster.kernel(0).stats().Get(stat::kMsgsForwarded), 1);
-  EXPECT_EQ(cluster.TotalStat("forwarding_expired"), 0);
+  EXPECT_EQ(cluster.TotalStat(stat::kForwardingExpired), 0);
 }
 
 TEST_F(GcTest, ExpiredAddressIsCollectedAndLocateFallbackDelivers) {
@@ -59,9 +59,9 @@ TEST_F(GcTest, ExpiredAddressIsCollectedAndLocateFallbackDelivers) {
   cluster.kernel(2).SendFromKernel(ProcessAddress{0, counter->pid}, kIncrement, {});
   cluster.RunUntilIdle();
   EXPECT_EQ(CounterValue(cluster, counter->pid), 1u);
-  EXPECT_EQ(cluster.TotalStat("forwarding_expired"), 1);
+  EXPECT_EQ(cluster.TotalStat(stat::kForwardingExpired), 1);
   EXPECT_EQ(cluster.kernel(0).process_table().ForwardingAddressCount(), 0u);
-  EXPECT_EQ(cluster.TotalStat("gc_rerouted"), 1);
+  EXPECT_EQ(cluster.TotalStat(stat::kGcRerouted), 1);
 }
 
 TEST_F(GcTest, ExpiredChainOffHomeUsesLocateRoundTrip) {
@@ -81,7 +81,7 @@ TEST_F(GcTest, ExpiredChainOffHomeUsesLocateRoundTrip) {
   cluster.kernel(3).SendFromKernel(ProcessAddress{0, counter->pid}, kIncrement, {});
   cluster.RunUntilIdle();
   EXPECT_EQ(CounterValue(cluster, counter->pid), 1u);
-  EXPECT_GE(cluster.TotalStat("forwarding_expired"), 1);
+  EXPECT_GE(cluster.TotalStat(stat::kForwardingExpired), 1);
 
   // And a message aimed straight at the expired middle hop also arrives (via
   // park + locate at m1, answered by home m0's registry).
@@ -174,14 +174,14 @@ TEST_F(GcTest, RepeatedTrafficAfterExpiryPaysNoForwardingCost) {
   };
   send();  // expiry + gc reroute
   EXPECT_EQ(CounterValue(cluster, counter->pid), 1u);
-  const std::int64_t rerouted_after_first = cluster.TotalStat("gc_rerouted");
+  const std::int64_t rerouted_after_first = cluster.TotalStat(stat::kGcRerouted);
   send();
   send();
   EXPECT_EQ(CounterValue(cluster, counter->pid), 3u);
   // The reroute path does not patch links (no forwarding address to emit an
   // update), so the home reroutes each time -- still delivering, still O(1)
   // state on the home machine.
-  EXPECT_GE(cluster.TotalStat("gc_rerouted"), rerouted_after_first);
+  EXPECT_GE(cluster.TotalStat(stat::kGcRerouted), rerouted_after_first);
 }
 
 }  // namespace

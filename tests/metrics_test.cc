@@ -1,9 +1,9 @@
 // Tests for the shard-level observability layer (src/obs): the metrics
 // engine's catalog/histograms/snapshots (including a snapshot-under-write
 // stress that TSan must pass), the flight recorder's ring semantics and
-// deterministic dumps, the hub's trigger latch, the legacy StatsRegistry /
-// PayloadCounters fold with its alias table, the exporters, and the
-// parallel-trace clock normalization.
+// deterministic dumps, the hub's trigger latch, the StatsRegistry /
+// PayloadCounters fold, the exporters, and the parallel-trace clock
+// normalization.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 
 #include "src/base/stats.h"
 #include "src/check/chaos.h"
+#include "src/kernel/cluster.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -262,48 +263,70 @@ TEST(FlightRecorder, DumpsAreDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy fold + aliases.
+// Kernel-counter fold.
 // ---------------------------------------------------------------------------
 
 TEST(BuildSnapshot, FoldsLegacyRegistriesWithoutDoubleCounting) {
   StatsRegistry kernel0;
   StatsRegistry kernel1;
-  kernel0.Add("msgs_sent", 7);
-  kernel1.Add("msgs_sent", 5);
-  kernel1.Add("msgs_forwarded", 2);
+  kernel0.Add(StatId::kMsgsSent, 7);
+  kernel1.Add(StatId::kMsgsSent, 5);
+  kernel1.Add(StatId::kMsgsForwarded, 2);
 
   const MetricsSnapshot snap = BuildSnapshot(nullptr, {&kernel0, &kernel1});
   ASSERT_EQ(snap.kernel_counters.size(), 2u);
-  EXPECT_EQ(snap.kernel_counters[0].at("kernel.msgs_sent"), 7);
-  EXPECT_EQ(snap.kernel_counters[1].at("kernel.msgs_sent"), 5);
+  EXPECT_EQ(snap.kernel_counters[0].Get(StatId::kMsgsSent), 7);
+  EXPECT_EQ(snap.kernel_counters[1].Get(StatId::kMsgsSent), 5);
   // The total is the per-shard sum, folded exactly once.
-  EXPECT_EQ(snap.kernel_total.at("kernel.msgs_sent"), 12);
-  EXPECT_EQ(snap.kernel_total.at("kernel.msgs_forwarded"), 2);
+  EXPECT_EQ(snap.kernel_total.Get(StatId::kMsgsSent), 12);
+  EXPECT_EQ(snap.kernel_total.Get(StatId::kMsgsForwarded), 2);
   // No runtime engine attached: no shard slabs.
   EXPECT_TRUE(snap.shards.empty());
 }
 
-TEST(BuildSnapshot, LegacyAliasTableCoversRenames) {
-  const auto& aliases = LegacyAliases();
-  ASSERT_FALSE(aliases.empty());
-  auto it = aliases.find("msgs_sent");
-  ASSERT_NE(it, aliases.end());
-  EXPECT_EQ(it->second, "kernel.msgs_sent");
-  // Payload counters fold under the payload. prefix.
-  bool has_payload = false;
-  for (const auto& [old_name, new_name] : aliases) {
-    EXPECT_TRUE(new_name.rfind("kernel.", 0) == 0 || new_name.rfind("payload.", 0) == 0)
-        << old_name << " -> " << new_name;
-    has_payload = has_payload || new_name.rfind("payload.", 0) == 0;
+// The reliable channel counts into its own registry only; the sequential
+// engine's snapshot adds it to the kernel total exactly once.
+TEST(BuildSnapshot, ReliableChannelCountsReachTheExportOnce) {
+  RegisterWorkloadPrograms();
+  ClusterConfig config;
+  config.machines = 2;
+  config.network.drop_probability = 0.2;
+  config.network.seed = 42;
+  config.reliable_layer = true;
+  config.reliable.retransmit_timeout_us = 2'000;
+  config.metrics_enabled = true;
+  Cluster cluster(config);
+  auto sink = cluster.kernel(0).SpawnProcess("sink");
+  ASSERT_TRUE(sink.ok());
+  for (int i = 0; i < 30; ++i) {
+    cluster.kernel(1).SendFromKernel(*sink, static_cast<MsgType>(1003), {});  // user type
   }
-  EXPECT_TRUE(has_payload);
+  cluster.RunUntilIdle();
+  const std::int64_t retransmits = cluster.reliable()->stats().Get(StatId::kRelRetransmits);
+  ASSERT_GT(retransmits, 0);
+
+  const MetricsSnapshot snap = cluster.BuildSnapshot();
+  EXPECT_EQ(snap.kernel_total.Get(StatId::kRelRetransmits), retransmits);
+  EXPECT_EQ(snap.kernel_total.Get(StatId::kNetPacketsSent),
+            cluster.network().stats().Get(StatId::kNetPacketsSent));
+  std::ostringstream os;
+  MetricsTimeSeries series;
+  series.final_snapshot = snap;
+  WriteMetricsJson(series, os);
+  const std::string json = os.str();
+  const std::string key = "\"kernel.rel_retransmits\":" + std::to_string(retransmits);
+  const std::size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos);
+  // Once in the total, nowhere else (the kernels' own slots read 0).
+  EXPECT_EQ(json.find("rel_retransmits\":" + std::to_string(retransmits), at + key.size()),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
 // Exporters.
 // ---------------------------------------------------------------------------
 
-TEST(MetricsExport, JsonCarriesSchemaSeriesAndAliases) {
+TEST(MetricsExport, JsonCarriesSchemaSeriesAndKernelCounters) {
   MetricsEngine engine(2);
   engine.shard(0).Inc(CounterId::kMailboxPushes, 3);
   engine.shard(1).Observe(HistogramId::kParkWaitUs, 150);
@@ -314,7 +337,9 @@ TEST(MetricsExport, JsonCarriesSchemaSeriesAndAliases) {
   sample.t_seconds = 0.01;
   sample.snapshot = engine.Snapshot();
   series.samples.push_back(sample);
-  series.final_snapshot = BuildSnapshot(&engine);
+  StatsRegistry kernel;
+  kernel.Add(StatId::kMsgsSent, 4);
+  series.final_snapshot = BuildSnapshot(&engine, {&kernel});
 
   std::ostringstream os;
   WriteMetricsJson(series, os);
@@ -322,7 +347,8 @@ TEST(MetricsExport, JsonCarriesSchemaSeriesAndAliases) {
   EXPECT_NE(json.find(kMetricsSchemaV1), std::string::npos);
   EXPECT_NE(json.find("\"series\""), std::string::npos);
   EXPECT_NE(json.find("\"final\""), std::string::npos);
-  EXPECT_NE(json.find("\"aliases\""), std::string::npos);
+  EXPECT_EQ(json.find("\"aliases\""), std::string::npos);
+  EXPECT_NE(json.find("\"kernel.msgs_sent\":4"), std::string::npos);
   EXPECT_NE(json.find(CounterName(CounterId::kMailboxPushes)), std::string::npos);
   EXPECT_NE(json.find(HistogramName(HistogramId::kParkWaitUs)), std::string::npos);
 }
@@ -479,7 +505,7 @@ TEST_F(ObservabilityIntegrationTest, ParallelRunPopulatesMetricsAndRecorder) {
   EXPECT_EQ(snap.total.gauges[static_cast<int>(GaugeId::kMailboxDepth)], 0);
   EXPECT_EQ(snap.total.gauges[static_cast<int>(GaugeId::kSpillDepth)], 0);
   // Kernel registries folded alongside.
-  EXPECT_GT(snap.kernel_total.at("kernel.msgs_sent"), 0);
+  EXPECT_GT(snap.kernel_total.Get(StatId::kMsgsSent), 0);
 
   // The always-on recorder saw mailbox traffic but nothing latched a trigger.
   ASSERT_NE(cluster.flight_recorder(), nullptr);

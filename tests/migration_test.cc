@@ -62,12 +62,10 @@ TEST_F(MigrationTest, AdminPayloadsAreSmall) {
   cluster.RunUntilIdle();
   testutil::MigrateAndSettle(cluster, addr->pid, 0, 1);
 
-  StatsRegistry total = cluster.TotalStats();
-  const Distribution* sizes = total.GetDistribution("admin_payload_bytes");
-  ASSERT_NE(sizes, nullptr);
-  EXPECT_EQ(sizes->count(), 9u);
-  EXPECT_GE(sizes->Min(), 6.0);
-  EXPECT_LE(sizes->Max(), 24.0);
+  const HistogramSnapshot sizes = cluster.TotalStats().Histogram(HistId::kAdminPayloadBytes);
+  EXPECT_EQ(sizes.count, 9u);
+  EXPECT_GE(sizes.min, 6u);
+  EXPECT_LE(sizes.max, 24u);
 }
 
 TEST_F(MigrationTest, ThreeDataMovesPerMigration) {
@@ -82,17 +80,16 @@ TEST_F(MigrationTest, ThreeDataMovesPerMigration) {
   testutil::MigrateAndSettle(cluster, addr->pid, 0, 1);
   StatsRegistry after = cluster.TotalStats();
 
-  const Distribution* resident = after.GetDistribution("resident_state_bytes");
-  const Distribution* swappable = after.GetDistribution("swappable_state_bytes");
-  const Distribution* image = after.GetDistribution("memory_image_bytes");
-  ASSERT_NE(resident, nullptr);
-  ASSERT_NE(swappable, nullptr);
-  ASSERT_NE(image, nullptr);
-  EXPECT_EQ(resident->count(), 1u);
-  EXPECT_GT(image->Min(), 2048.0 + 1024 + 512 - 1);
+  const HistogramSnapshot resident = after.Histogram(HistId::kResidentStateBytes);
+  const HistogramSnapshot swappable = after.Histogram(HistId::kSwappableStateBytes);
+  const HistogramSnapshot image = after.Histogram(HistId::kMemoryImageBytes);
+  EXPECT_EQ(resident.count, 1u);
+  EXPECT_EQ(swappable.count, 1u);
+  EXPECT_EQ(image.count, 1u);
+  EXPECT_GT(image.min, 2048u + 1024 + 512 - 1);
   // All bytes arrived: data bytes >= the three sections.
   const std::int64_t moved = after.Get(stat::kDataBytes) - before.Get(stat::kDataBytes);
-  EXPECT_GE(moved, static_cast<std::int64_t>(resident->Sum() + swappable->Sum() + image->Sum()));
+  EXPECT_GE(moved, static_cast<std::int64_t>(resident.sum + swappable.sum + image.sum));
 }
 
 TEST_F(MigrationTest, CounterStateIsTransparentAcrossMigration) {
@@ -342,7 +339,7 @@ TEST_F(MigrationTest, ProcessCanMigrateBackToMachineItLeft) {
   ProcessRecord* home = cluster.kernel(0).FindProcess(counter->pid);
   ASSERT_NE(home, nullptr);
   EXPECT_EQ(home->migration_history, (std::vector<MachineId>{0, 1}));
-  EXPECT_EQ(cluster.TotalStat("forwarding_superseded"), 1);
+  EXPECT_EQ(cluster.TotalStat(stat::kForwardingSuperseded), 1);
 
   // Machine 1 now forwards, and the returned process is fully reachable.
   cluster.kernel(1).SendFromKernel(ProcessAddress{1, counter->pid}, kIncrement, {});
@@ -354,7 +351,7 @@ TEST_F(MigrationTest, ProcessCanMigrateBackToMachineItLeft) {
   testutil::MigrateAndSettle(cluster, counter->pid, 0, 1);
   testutil::MigrateAndSettle(cluster, counter->pid, 1, 0);
   EXPECT_NE(cluster.kernel(0).FindProcess(counter->pid), nullptr);
-  EXPECT_EQ(cluster.TotalStat("forwarding_superseded"), 3);
+  EXPECT_EQ(cluster.TotalStat(stat::kForwardingSuperseded), 3);
 }
 
 TEST_F(MigrationTest, VoluntaryMigrationViaRequestMigration) {
