@@ -181,8 +181,12 @@ void Run() {
   bench::Table affinity({"policy", "mean rpc us", "client ends on"});
   for (const char* policy : {"null", "affinity"}) {
     AffinityResult r = RunAffinityScenario(policy);
-    affinity.Row({policy, bench::Num(r.mean_latency_us, 1),
-                  r.final_home == kNoMachine ? "?" : "m" + std::to_string(r.final_home)});
+    std::string home = "?";
+    if (r.final_home != kNoMachine) {
+      home = "m";
+      home += std::to_string(r.final_home);
+    }
+    affinity.Row({policy, bench::Num(r.mean_latency_us, 1), home});
   }
   affinity.Print();
   bench::Note("the affinity policy relocates the client to the server's machine (m2),");

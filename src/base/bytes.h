@@ -116,8 +116,17 @@ class PayloadRef {
   ~PayloadRef() { Release(); }
 
   // Braced literals (`msg.payload = {1, 2, 3}`) build a fresh buffer.
-  PayloadRef(std::initializer_list<std::uint8_t> bytes)  // NOLINT
-      : PayloadRef(Bytes(bytes)) {}
+  // The bytes are assigned into the node's own buffer: adopting a temporary
+  // Bytes here makes gcc 12 report a false -Wfree-nonheap-object for its
+  // inlined destructor.
+  PayloadRef(std::initializer_list<std::uint8_t> bytes) {  // NOLINT
+    if (bytes.size() != 0) {
+      node_ = PayloadBufferPool::AcquireNode(Bytes{});
+      node_->bytes.assign(bytes);
+      len_ = bytes.size();
+      PayloadCounters::CountAllocation();
+    }
+  }
 
   // Explicitly copy `len` bytes into a fresh buffer.
   static PayloadRef Copy(const void* data, std::size_t len) {

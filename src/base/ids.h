@@ -33,7 +33,11 @@ struct ProcessId {
   bool valid() const { return creating_machine != kNoMachine; }
 
   std::string ToString() const {
-    return "p" + std::to_string(creating_machine) + "." + std::to_string(local_id);
+    std::string out = "p";
+    out += std::to_string(creating_machine);
+    out += '.';
+    out += std::to_string(local_id);
+    return out;
   }
 };
 

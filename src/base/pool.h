@@ -93,7 +93,7 @@ class PayloadBufferPool {
   // buffer's capacity for AcquireBytes and recycles the node object; both go
   // to the *calling* thread's pool (never a cross-thread free).
   static void ReleaseNode(Node* node) {
-    if (LocalDead()) {
+    if (LocalDead() || GlobalDead()) {
       delete node;  // thread (or process) is tearing down; pools are gone
       return;
     }
@@ -150,11 +150,7 @@ class PayloadBufferPool {
     cache.stats = PoolThreadStats{};
     GlobalCache& global = Global();
     std::lock_guard<std::mutex> lock(global.mu);
-    for (Node* node : global.nodes) {
-      delete node;
-    }
-    global.nodes.clear();
-    global.buffers.clear();
+    global.Clear();
   }
 
  private:
@@ -166,13 +162,8 @@ class PayloadBufferPool {
     ~LocalCache() {
       LocalDead() = true;
       // Donate what fits to the global fallback, free the rest.
-      GlobalCache& global = Global();
-      std::lock_guard<std::mutex> lock(global.mu);
-      const Limits& lim = limits();
       for (Node* node : nodes) {
-        if (global.nodes.size() < lim.global_entries) {
-          global.nodes.push_back(node);
-        } else {
+        if (!PushGlobalNode(node)) {
           delete node;
         }
       }
@@ -184,6 +175,21 @@ class PayloadBufferPool {
     std::mutex mu;
     std::vector<Node*> nodes;
     std::vector<Bytes> buffers;
+
+    // Runs at static destruction, after every joined thread donated its
+    // nodes (and after the main thread's thread_locals): the list is the
+    // nodes' only owner, so it must free them.
+    ~GlobalCache() {
+      GlobalDead() = true;
+      Clear();
+    }
+    void Clear() {
+      for (Node* node : nodes) {
+        delete node;
+      }
+      nodes.clear();
+      buffers.clear();
+    }
   };
 
   // Tombstone for this thread's cache.  False until ~LocalCache runs, so a
@@ -196,6 +202,12 @@ class PayloadBufferPool {
     static thread_local bool dead = false;
     return dead;
   }
+  // The same tombstone for the process-wide fallback: set by ~GlobalCache,
+  // after which pushes fail (the caller frees) and pops come back empty.
+  static bool& GlobalDead() {
+    static bool dead = false;
+    return dead;
+  }
   static LocalCache& Local() {
     static thread_local LocalCache cache;
     return cache;
@@ -206,6 +218,9 @@ class PayloadBufferPool {
   }
 
   static Node* PopGlobalNode() {
+    if (GlobalDead()) {
+      return nullptr;
+    }
     GlobalCache& global = Global();
     std::lock_guard<std::mutex> lock(global.mu);
     if (global.nodes.empty()) {
@@ -216,6 +231,9 @@ class PayloadBufferPool {
     return node;
   }
   static bool PushGlobalNode(Node* node) {
+    if (GlobalDead()) {
+      return false;
+    }
     GlobalCache& global = Global();
     std::lock_guard<std::mutex> lock(global.mu);
     if (global.nodes.size() >= limits().global_entries) {
@@ -225,6 +243,9 @@ class PayloadBufferPool {
     return true;
   }
   static Bytes PopGlobalBuffer() {
+    if (GlobalDead()) {
+      return Bytes{};
+    }
     GlobalCache& global = Global();
     std::lock_guard<std::mutex> lock(global.mu);
     if (global.buffers.empty()) {
@@ -235,6 +256,9 @@ class PayloadBufferPool {
     return out;
   }
   static bool PushGlobalBuffer(Bytes&& buffer) {
+    if (GlobalDead()) {
+      return false;
+    }
     GlobalCache& global = Global();
     std::lock_guard<std::mutex> lock(global.mu);
     if (global.buffers.size() >= limits().global_entries) {

@@ -16,6 +16,14 @@ std::uint64_t CombineHash(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
+// "m<id>", built by appending: gcc 12 flags the inlined insert-at-front of
+// `"m" + std::to_string(m)` with a false -Wrestrict.
+std::string MachineName(int m) {
+  std::string out = "m";
+  out += std::to_string(m);
+  return out;
+}
+
 std::string Hex(std::uint64_t v) {
   char buf[2 + 16 + 1];
   std::snprintf(buf, sizeof(buf), "0x%llx", static_cast<unsigned long long>(v));
@@ -385,7 +393,7 @@ void ClusterChecker::CheckLiveness() {
     Kernel& kernel = cluster_.kernel(mid);
     if (kernel.HasMigrationInProgress()) {
       AddViolation("liveness",
-                   "m" + std::to_string(m) + " still has migration state at quiescence");
+                   MachineName(m) + " still has migration state at quiescence");
     }
     for (const auto& [pid, entry] : kernel.process_table().entries()) {
       if (!entry.IsForwarding() && entry.process->state == ExecState::kInMigration) {
@@ -644,7 +652,7 @@ void ClusterChecker::CheckMemoryAccounting() {
     }
     if (live_bytes != kernel.memory_used()) {
       AddViolation("memory-accounting",
-                   "m" + std::to_string(m) + " accounts " + std::to_string(kernel.memory_used()) +
+                   MachineName(m) + " accounts " + std::to_string(kernel.memory_used()) +
                        " bytes but hosts " + std::to_string(live_bytes) + " bytes of processes");
     }
   }

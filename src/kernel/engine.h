@@ -55,7 +55,9 @@ struct EngineConfig {
 
 // Observability backends per the engines' shared slot convention:
 // machines+1 slots, slot i owned by machine i's execution context, slot
-// `machines` by the harness/coordinator thread.  Null members when disabled.
+// `machines` (the coordinator slot) by cluster-wide work: the harness thread,
+// or the parallel engine's quiescence/LBTS verification, which any thread
+// runs under one mutex.  Null members when disabled.
 struct EngineObservability {
   std::unique_ptr<MetricsEngine> metrics;
   std::unique_ptr<FlightRecorderHub> flight;

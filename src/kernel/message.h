@@ -74,6 +74,11 @@ enum class MsgType : std::uint16_t {
   kUserBase = 1000,
 };
 
+// The wire code of a message type.  System-process protocols (src/sys) define
+// their types as codes outside the enumerators, so their handlers switch on
+// TypeCode(msg.type) with TypeCode(kFoo) labels instead of on the enum.
+constexpr std::uint16_t TypeCode(MsgType type) { return static_cast<std::uint16_t>(type); }
+
 inline bool IsMigrationAdminType(MsgType t) {
   switch (t) {
     case MsgType::kMigrateRequest:

@@ -61,11 +61,11 @@ enum class CounterId : int {
   kPostedTasks,           // Post() closures executed on this shard
   kEventsExecuted,        // EventQueue events dispatched on this shard
   kSchedulerRounds,       // drain+posted+events rounds that did any work
-  // Quiescence detection (coordinator shard slot only).
-  kQuiescencePolls,       // snapshots taken by RunUntilQuiescent
-  kQuiescenceVotes,       // snapshots that looked quiet
+  // Quiescence detection (coordinator slot only).
+  kQuiescencePolls,       // double-snapshot verifications (any thread)
+  kQuiescenceVotes,       // verifications whose first snapshot was quiet
   // Conservative virtual-time sync (src/run/virtual_time.h).
-  kLbtsWindows,        // windows opened by the coordinator (coordinator slot)
+  kLbtsWindows,        // windows opened, by any shard (coordinator slot)
   kSyncFramesClamped,  // cross-shard frames whose arrival was clamped to the
                        // receiver's clock (0 in a correctly bounded run)
   // Idle protocol (adaptive spin-then-park) and allocation pools.

@@ -28,34 +28,6 @@ SimDuration MinArmedDeadline(const KernelConfig& kc) {
   return min;
 }
 
-// One polite lap of a poll loop (same as the router's idle spin).
-inline void CpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield" ::: "memory");
-#else
-  std::this_thread::yield();
-#endif
-}
-
-// Coordinator poll pacing: the sync coordinator no longer sleeps a fixed
-// 100-200us between snapshots (that sleep used to be the dominant per-window
-// cost -- two snapshots per window put 200us+ of wall clock on every bound
-// advance).  Instead it re-polls immediately for a short burst, yields while
-// shards still hold the cores, and only falls back to a real sleep when the
-// cluster has been un-blocked for a long stretch (a shard stuck in a big
-// drain, or genuine multi-ms work).
-inline void CoordinatorBackoff(std::size_t laps) {
-  if (laps < 256) {
-    CpuRelax();
-  } else if (laps < 8192) {
-    std::this_thread::yield();
-  } else {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-}
-
 // Fold this shard thread's allocation-pool stats (thread-local, monotonic)
 // into its metrics slab as deltas.  Called at idle edges and on loop exit --
 // cheap, and often enough for the sampler to see pool behaviour evolve.
@@ -78,8 +50,9 @@ void FoldPoolStats(MetricShard* metrics, PoolThreadStats& last) {
 ParallelCluster::ParallelCluster(ParallelClusterConfig config) : config_(config) {
   const EngineConfig core = config.EngineCore();
   router_ = std::make_unique<ShardRouter>(config.machines, config.router);
-  // machines+1 observability slots: one per shard plus the coordinator slot
-  // for the quiescence poller (RunUntilQuiescent runs on the caller thread).
+  // machines+1 observability slots: one per shard plus the coordinator slot,
+  // which holds the verification counters and window events that any shard
+  // or the RunUntilQuiescent caller writes under advance_mu_.
   EngineObservability obs = MakeObservability(core);
   metrics_ = std::move(obs.metrics);
   flight_ = std::move(obs.flight);
@@ -337,6 +310,7 @@ void ParallelCluster::ShardMain(Shard& shard) {
     tracer.RecordClockSync(shard.queue.Now(), FrSteadyClock(nullptr));
     fold_pool_stats();
     shard.idle.store(true, std::memory_order_seq_cst);
+    Verify();  // the last shard to go idle announces the drain
     router_->IdleWait(shard.machine, config_.idle_park, [this, &shard] {
       return HasLocalWork(shard) || stop_.load(std::memory_order_relaxed);
     });
@@ -359,7 +333,7 @@ void ParallelCluster::ShardMainSync(Shard& shard) {
   bool was_tight = false;
   while (!stop_.load(std::memory_order_acquire)) {
     // Snapshot the window first, then advertise busy *before* consuming any
-    // input: the coordinator's double snapshot relies on every consumption
+    // input: the verifier's double snapshot relies on every consumption
     // being bracketed by busy==true or a fresh floor (virtual_time.h).
     const std::uint64_t epoch = lbts_->epoch();
     const SimTime bound = lbts_->bound();
@@ -404,8 +378,9 @@ void ParallelCluster::ShardMainSync(Shard& shard) {
       continue;
     }
     // Blocked on the window: no mail, no posted work, and the next local
-    // event (if any) is past the bound.  Publish the floor for this epoch
-    // and park until the coordinator opens the next window.
+    // event (if any) is past the bound.  Publish the floor for this epoch,
+    // then verify: the last shard to block opens the next window itself and
+    // keeps running; the others park until it does.
     if (metrics != nullptr) {
       metrics->Set(GaugeId::kEventQueueDepth,
                    static_cast<std::int64_t>(shard.queue.PendingEvents()));
@@ -414,9 +389,11 @@ void ParallelCluster::ShardMainSync(Shard& shard) {
     fold_pool_stats();
     shard.idle.store(true, std::memory_order_seq_cst);
     lbts_->PublishIdle(me, epoch, shard.queue.NextEventTime(), tight);
-    router_->IdleWait(me, config_.idle_park, [this, &shard, epoch] {
-      return HasSyncWork(shard, epoch) || stop_.load(std::memory_order_relaxed);
-    });
+    if (Verify() != Verdict::kOpened) {
+      router_->IdleWait(me, config_.idle_park, [this, &shard, epoch] {
+        return HasSyncWork(shard, epoch) || stop_.load(std::memory_order_relaxed);
+      });
+    }
     shard.idle.store(false, std::memory_order_seq_cst);
   }
   fold_pool_stats();
@@ -435,128 +412,108 @@ ParallelCluster::Snapshot ParallelCluster::TakeSnapshot() const {
   return snap;
 }
 
-bool ParallelCluster::RunUntilQuiescent(std::chrono::milliseconds timeout) {
-  Start();
-  // Coordinator-slot observability: quiescence polling happens on the caller
-  // thread, so it gets its own slab/recorder rather than racing a shard's.
-  MetricShard* coord = metrics_ ? &metrics_->shard(coordinator_slot()) : nullptr;
-  FlightRecorder* coord_flight = flight_ ? &flight_->recorder(coordinator_slot()) : nullptr;
-  if (sync_enabled_) {
-    return RunUntilQuiescentSync(timeout, coord, coord_flight);
-  }
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  Snapshot prev;
-  bool have_prev = false;
-  while (std::chrono::steady_clock::now() < deadline) {
-    Snapshot snap = TakeSnapshot();
-    if (coord != nullptr) {
-      coord->Inc(CounterId::kQuiescencePolls);
-      if (snap.Quiet()) {
-        coord->Inc(CounterId::kQuiescenceVotes);
-      }
-    }
-    if (coord_flight != nullptr) {
-      coord_flight->Record(FrEvent::kQuiescenceVote, snap.Quiet() ? 1 : 0,
-                           snap.sent - snap.consumed);
-    }
-    if (snap.Quiet()) {
-      // One quiet snapshot can race a message between the counter reads; two
-      // quiet snapshots with *unchanged* monotonic counters cannot -- any
-      // work in between would have bumped sent/consumed/posted.
-      if (have_prev && prev.SameCounters(snap)) {
-        return true;
-      }
-      prev = snap;
-      have_prev = true;
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    } else {
-      have_prev = false;
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  }
-  return false;
+ParallelCluster::Verdict ParallelCluster::Verify() {
+  std::lock_guard<std::mutex> lock(advance_mu_);
+  return VerifyLocked();
 }
 
-bool ParallelCluster::RunUntilQuiescentSync(std::chrono::milliseconds timeout,
-                                            MetricShard* coord, FlightRecorder* coord_flight) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  Snapshot prev;
-  LbtsState::ShardView prev_view;
-  bool have_prev = false;
-  std::size_t idle_laps = 0;
-  while (std::chrono::steady_clock::now() < deadline) {
-    // The base snapshot rules out in-flight mail and posted work; the LBTS
-    // view rules out a shard mid-round (busy) or still on an older window
-    // (done_epoch lag), and carries the floors the next bound derives from.
-    Snapshot snap = TakeSnapshot();
-    LbtsState::ShardView view = lbts_->View();
-    const bool blocked = snap.Quiet() && !view.any_busy && view.all_done;
-    if (coord != nullptr) {
-      coord->Inc(CounterId::kQuiescencePolls);
-      if (blocked) {
-        coord->Inc(CounterId::kQuiescenceVotes);
-      }
+ParallelCluster::Verdict ParallelCluster::VerifyLocked() {
+  MetricShard* coord = metrics_ ? &metrics_->shard(coordinator_slot()) : nullptr;
+  FlightRecorder* coord_flight = flight_ ? &flight_->recorder(coordinator_slot()) : nullptr;
+  // The base snapshot rules out in-flight mail and posted work; under sync
+  // the LBTS view rules out a shard mid-round (busy) or still on an older
+  // window (done_epoch lag), and carries the floors the next bound derives
+  // from.
+  const Snapshot first = TakeSnapshot();
+  bool blocked = first.Quiet();
+  if (blocked && sync_enabled_) {
+    lbts_->View(&views_[0]);
+    blocked = !views_[0].any_busy && views_[0].all_done;
+  }
+  if (coord != nullptr) {
+    coord->Inc(CounterId::kQuiescencePolls);
+    if (blocked) {
+      coord->Inc(CounterId::kQuiescenceVotes);
     }
-    if (!blocked) {
-      have_prev = false;
-      // Spin-poll with escalating backoff instead of a fixed sleep: while
-      // shards are mid-window the coordinator's only job is to notice the
-      // moment they block, and a 200us nap per poll used to serialize every
-      // window behind it.  A shard parked on an exhausted window is caught
-      // within its own idle-spin budget, so consecutive bounds chain without
-      // anyone re-parking (the multi-window drain per wake).
-      CoordinatorBackoff(++idle_laps);
-      continue;
-    }
-    if (coord_flight != nullptr) {
-      coord_flight->Record(FrEvent::kQuiescenceVote, 1, snap.sent - snap.consumed);
-    }
-    if (!have_prev || !prev.SameCounters(snap) || !prev_view.Same(view)) {
-      // First quiet observation (or the cluster moved): confirm with a
-      // second identical snapshot before trusting the floors.  The
-      // double-snapshot argument is about interleaving -- any work between
-      // the two bumps a monotonic counter -- not elapsed time, so the
-      // confirming read follows immediately.
-      prev = snap;
-      prev_view = std::move(view);
-      have_prev = true;
-      CpuRelax();
-      continue;
+  }
+  if (coord_flight != nullptr) {
+    coord_flight->Record(FrEvent::kQuiescenceVote, blocked ? 1 : 0, first.sent - first.consumed);
+  }
+  if (!blocked) {
+    // Someone is still working; it verifies again on its own idle edge.
+    return Verdict::kBusy;
+  }
+  // One blocked snapshot can race work between its reads; a second identical
+  // one cannot -- any work in between bumps a monotonic counter or moves a
+  // published floor.  The argument is about interleaving, not elapsed time,
+  // so the confirming read follows immediately.
+  const Snapshot second = TakeSnapshot();
+  if (!second.Quiet() || !first.SameCounters(second)) {
+    return Verdict::kBusy;
+  }
+  SimTime next = kSimTimeNever;
+  bool widened = false;
+  if (sync_enabled_) {
+    lbts_->View(&views_[1]);
+    if (!views_[0].Same(views_[1])) {
+      return Verdict::kBusy;
     }
     // Verified: every shard is blocked on the current window with these
-    // floors, and nothing is in flight.  Either everything is drained
-    // (quiescent) or the cluster earns the next window -- strictly
-    // conservative while any shard is tight, relaxed (learned lookahead +
-    // wide span) otherwise.
-    SimTime next;
-    bool widened = false;
-    if (!view.any_tight && wide_span_ > 0) {
-      next = lbts_->NextRelaxedBound(view.floors, *latency_, adaptive_.get(), wide_span_,
-                                     &widened);
-    } else {
-      next = lbts_->NextBound(view.floors, *latency_);
+    // floors, and nothing is in flight.  Either everything is drained or the
+    // cluster earns the next window -- strictly conservative while any shard
+    // is tight, relaxed (learned lookahead + wide span) otherwise.
+    const std::vector<SimTime>& floors = views_[1].floors;
+    next = !views_[1].any_tight && wide_span_ > 0
+               ? lbts_->NextRelaxedBound(floors, *latency_, adaptive_.get(), wide_span_, &widened)
+               : lbts_->NextBound(floors, *latency_);
+  }
+  if (next == kSimTimeNever) {
+    // Drained.  Only a hint to RunUntilQuiescent, which re-verifies: these
+    // snapshots may predate the caller's latest Post().
+    ++drained_gen_;
+    drained_cv_.notify_all();
+    return Verdict::kDrained;
+  }
+  const SimTime old_bound = lbts_->bound();
+  lbts_->OpenWindow(next, widened);
+  if (coord != nullptr) {
+    coord->Inc(CounterId::kLbtsWindows);
+    if (widened) {
+      coord->Inc(CounterId::kWideWindowsOpened);
     }
-    if (next == kSimTimeNever) {
+    coord->Set(GaugeId::kLbtsBoundUs, static_cast<std::int64_t>(next));
+    coord->Observe(HistogramId::kLbtsWindowSpanUs, next - old_bound);
+  }
+  if (coord_flight != nullptr) {
+    coord_flight->Record(FrEvent::kLbtsWindow, lbts_->epoch(), next);
+  }
+  // A spinning peer sees the new epoch on its next poll and a running one
+  // (the opener) never left; only parked peers need the syscall.
+  for (const auto& shard : shards_) {
+    router_->WakeIfParked(shard->machine);
+  }
+  return Verdict::kOpened;
+}
+
+bool ParallelCluster::RunUntilQuiescent(std::chrono::milliseconds timeout) {
+  Start();
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  std::unique_lock<std::mutex> lock(advance_mu_);
+  for (;;) {
+    // Shards announce drains, but only a verification run here -- after this
+    // thread's own Post()s -- may return true.  The bounded wait re-verifies
+    // even if no shard ever notifies (a missed idle edge costs 1ms, not a hang).
+    const std::uint64_t gen = drained_gen_;
+    if (VerifyLocked() == Verdict::kDrained) {
       return true;
     }
-    const SimTime old_bound = lbts_->bound();
-    lbts_->OpenWindow(next, widened);
-    if (coord != nullptr) {
-      coord->Inc(CounterId::kLbtsWindows);
-      if (widened) {
-        coord->Inc(CounterId::kWideWindowsOpened);
-      }
-      coord->Set(GaugeId::kLbtsBoundUs, static_cast<std::int64_t>(next));
-      coord->Observe(HistogramId::kLbtsWindowSpanUs, next - old_bound);
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= deadline) {
+      return false;
     }
-    if (coord_flight != nullptr) {
-      coord_flight->Record(FrEvent::kLbtsWindow, lbts_->epoch(), next);
-    }
-    router_->WakeAll();
-    have_prev = false;
-    idle_laps = 0;
+    drained_cv_.wait_until(lock, std::min(deadline, now + std::chrono::milliseconds(1)),
+                           [this, gen] { return drained_gen_ != gen; });
   }
-  return false;
 }
 
 void ParallelCluster::RefreshDepthGauges() {

@@ -18,6 +18,10 @@
 //     atomics), stats/payload counters (relaxed atomics), and the
 //     mailbox/quiescence/LBTS machinery in src/run.
 //
+// There is no coordinator thread: a shard that runs out of work verifies the
+// cluster under one mutex, and the last shard to block opens the next LBTS
+// window itself or, when everything is drained, wakes RunUntilQuiescent.
+//
 // Two time models, selected by ParallelClusterConfig::sync:
 //   - Free-running (default): shard clocks advance independently; mail is
 //     delivered the instant it is drained.  Fastest, and correct for every
@@ -173,9 +177,8 @@ class ParallelCluster final : public Engine {
   void Start();
   // Block until the cluster is quiescent: every shard idle, every mailbox
   // empty, every posted closure done -- confirmed by two identical counter
-  // snapshots.  Under conservative sync this is also the LBTS coordinator:
-  // each verified all-blocked round either opens the next window or, when
-  // every queue is drained, declares quiescence.  Returns false on timeout.
+  // snapshots taken on this thread, which sleeps on a condvar between
+  // verifications (the shards open LBTS windows).  Returns false on timeout.
   // Threads stay parked afterwards, so Post() + another RunUntilQuiescent()
   // continues the run.
   bool RunUntilQuiescent(std::chrono::milliseconds timeout = std::chrono::milliseconds(10000));
@@ -188,7 +191,8 @@ class ParallelCluster final : public Engine {
 
   // ---- Observability. ----
   // The engine/hub have machines+1 slots: slot i belongs to shard i, the
-  // last slot to the coordinator thread (quiescence polling / LBTS rounds).
+  // last slot to verification and LBTS windows, written under advance_mu_ by
+  // whichever thread verifies (a shard or the RunUntilQuiescent caller).
   int coordinator_slot() const { return static_cast<int>(shards_.size()); }
   // Refresh the mailbox/spill depth gauges from queue state; safe from any
   // thread (sampler collector), no-op when metrics are disabled.
@@ -244,8 +248,11 @@ class ParallelCluster final : public Engine {
   void ScheduleDelivery(Shard& shard, MachineId src, SimTime send_ts, PayloadRef payload);
   std::size_t DrainPosted(Shard& shard);
   Snapshot TakeSnapshot() const;
-  bool RunUntilQuiescentSync(std::chrono::milliseconds timeout, MetricShard* coord,
-                             FlightRecorder* coord_flight);
+  // The double-snapshot check run on every shard idle edge and by
+  // RunUntilQuiescent; VerifyLocked expects advance_mu_ held.
+  enum class Verdict { kBusy, kOpened, kDrained };
+  Verdict Verify();
+  Verdict VerifyLocked();
   std::uint64_t TotalEventsExecuted() const;
 
   ParallelClusterConfig config_;
@@ -264,6 +271,13 @@ class ParallelCluster final : public Engine {
   std::atomic<std::uint64_t> posted_{0};
   std::atomic<std::uint64_t> posted_done_{0};
   bool started_ = false;
+  // Serializes verification, window opening and the coordinator slot's
+  // flight recorder.  drained_gen_ counts verified drains (drained_cv_ wakes
+  // RunUntilQuiescent on each); views_ is the double snapshot's LBTS pair.
+  std::mutex advance_mu_;
+  std::condition_variable drained_cv_;
+  std::uint64_t drained_gen_ = 0;
+  LbtsState::ShardView views_[2];
 };
 
 }  // namespace demos

@@ -536,6 +536,13 @@ void ShardRouter::Wake(MachineId node) {
   }
 }
 
+void ShardRouter::WakeIfParked(MachineId node) {
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (inboxes_[node]->consumer_state.load(std::memory_order_relaxed) == kConsumerParked) {
+    Wake(node);
+  }
+}
+
 void ShardRouter::WakeAll() {
   for (std::size_t i = 0; i < inboxes_.size(); ++i) {
     Wake(static_cast<MachineId>(i));

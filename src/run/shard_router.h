@@ -176,6 +176,10 @@ class ShardRouter final : public Transport {
   // Wake one shard / all shards (Post() injection and Stop() teardown).
   void Wake(MachineId node);
   void WakeAll();
+  // Wake `node` only if parked, fenced like PublishItem: either the consumer's
+  // re-check sees the caller's preceding seq_cst store (a new LBTS epoch) or
+  // this call sees kConsumerParked.
+  void WakeIfParked(MachineId node);
 
   // True while `node`'s consumer is blocked on its condvar (tests).
   bool IsParked(MachineId node) const {

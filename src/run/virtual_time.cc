@@ -144,18 +144,19 @@ LbtsState::LbtsState(int shards) : slots_(static_cast<std::size_t>(shards)) {
   }
 }
 
-LbtsState::ShardView LbtsState::View() const {
-  ShardView view;
-  view.all_done = true;
+void LbtsState::View(ShardView* view) const {
+  view->any_busy = false;
+  view->all_done = true;
+  view->any_tight = false;
   const std::uint64_t current = epoch();
-  view.floors.reserve(slots_.size());
-  for (const auto& slot : slots_) {
-    view.any_busy = slot->busy.load(std::memory_order_seq_cst) || view.any_busy;
-    view.all_done = slot->done_epoch.load(std::memory_order_seq_cst) == current && view.all_done;
-    view.any_tight = slot->tight.load(std::memory_order_seq_cst) || view.any_tight;
-    view.floors.push_back(slot->floor.load(std::memory_order_seq_cst));
+  view->floors.resize(slots_.size());
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    const Slot& slot = *slots_[i];
+    view->any_busy = slot.busy.load(std::memory_order_seq_cst) || view->any_busy;
+    view->all_done = slot.done_epoch.load(std::memory_order_seq_cst) == current && view->all_done;
+    view->any_tight = slot.tight.load(std::memory_order_seq_cst) || view->any_tight;
+    view->floors[i] = slot.floor.load(std::memory_order_seq_cst);
   }
-  return view;
 }
 
 SimTime LbtsState::NextBound(const std::vector<SimTime>& floors,

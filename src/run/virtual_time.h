@@ -16,20 +16,22 @@
 //
 //     LBTS = min_i (floor_i + min_dst L(i, dst))
 //
-// The coordinator therefore opens a window with bound = LBTS - 1 and every
-// shard may execute all events with timestamp <= bound without ever receiving
-// a frame in its past: a shard executing at t >= floor_src produces an
-// arrival t + L(src, dst) >= floor_src + min-lookahead(src) >= bound + 1.
+// The next window therefore opens with bound = LBTS - 1 and every shard may
+// execute all events with timestamp <= bound without ever receiving a frame
+// in its past: a shard executing at t >= floor_src produces an arrival
+// t + L(src, dst) >= floor_src + min-lookahead(src) >= bound + 1.
 //
-// The round itself piggybacks on the quiescence double-snapshot machinery:
-// a window only closes when the router's sent == consumed (no frame in any
-// mailbox), every posted closure has run, and every shard has published an
-// identical (epoch, floor) across two coordinator snapshots while not busy.
-// The busy flag is set (seq_cst) *before* a shard consumes any input, which
-// closes the race where a shard drains a frame but publishes its new floor
-// only after the coordinator has read the stale one: either the publish lands
-// before the first snapshot (floor is fresh), or the coordinator observes
-// busy == true / differing counters and retries.
+// Each shard, right after PublishIdle, runs the quiescence double-snapshot
+// verification under one mutex, so the last shard to block opens the next
+// window itself (ParallelCluster).  A window only closes when the router's
+// sent == consumed (no frame in any mailbox), every posted closure has run,
+// and every shard has published an identical (epoch, floor) across two
+// snapshots while not busy.  The busy flag is set (seq_cst) *before* a shard
+// consumes any input, which closes the race where a shard drains a frame but
+// publishes its new floor only after the verifier has read the stale one:
+// either the publish lands before the first snapshot (floor is fresh), or the
+// verifier observes busy == true / differing counters and gives up (the busy
+// shard verifies on its own next idle edge).
 //
 // Adaptive lookahead (docs/PROTOCOL.md, "Adaptive lookahead") relaxes the
 // static bound in two ways when -- and only when -- no shard has published a
@@ -45,7 +47,7 @@
 // clock is clamped forward to "now" (never delivered into the past, so
 // exactly-once and per-link FIFO are untouched), and cross-shard clock skew
 // stays bounded by one window span because every clock is capped by
-// min_floor + span.  The instant any shard turns tight the coordinator falls
+// min_floor + span.  The instant any shard turns tight the next window falls
 // back to the strictly conservative bound above, for which the zero-clamp
 // proof holds window by window.
 
@@ -110,7 +112,7 @@ class LinkLatencyTable {
 // Learned per-link lookahead for relaxed LBTS windows.  Each source shard
 // observes the virtual-time gap between its own consecutive sends per
 // destination (owner-thread-only, one compare per Send) and publishes a
-// per-source lookahead the coordinator may use instead of the static link
+// per-source lookahead the window opener may use instead of the static link
 // minimum while no consumer needs tight bounds.  The estimate starts at the
 // static minimum, grows at most 2x per observation window (a windowed min
 // over actual send_ts deltas, capped at growth_cap x static), shrinks
@@ -135,7 +137,7 @@ class AdaptiveLookahead {
   // the published value actually shrank.
   bool Collapse(MachineId src);
 
-  // Any thread (the coordinator): current published lookahead for `src`.
+  // Any thread (the window opener): current published lookahead for `src`.
   // Always >= the static LookaheadFrom(src).
   SimDuration FromSource(MachineId src) const {
     return published_[src]->value.load(std::memory_order_seq_cst);
@@ -169,10 +171,10 @@ class AdaptiveLookahead {
   std::vector<std::unique_ptr<Published>> published_;
 };
 
-// Shared window state: the coordinator publishes (epoch, bound); each shard
-// publishes (busy, done_epoch, floor, tight).  All accesses are seq_cst --
-// this is the cold coordination path, executed once per window, not per
-// event.
+// Shared window state: the window opener publishes (epoch, bound); each
+// shard publishes (busy, done_epoch, floor, tight).  All accesses are
+// seq_cst -- this is the cold coordination path, executed once per shard idle
+// edge, not per event.
 class LbtsState {
  public:
   explicit LbtsState(int shards);
@@ -203,7 +205,7 @@ class LbtsState {
   // (sync_frames_clamped, which must stay 0 in a never-widened run).
   bool ever_wide() const { return ever_wide_.load(std::memory_order_seq_cst); }
 
-  // ---- Coordinator side. ----
+  // ---- Verifier side (whichever thread verifies, under its mutex). ----
   struct ShardView {
     bool any_busy = false;
     bool all_done = false;  // every done_epoch == the current epoch
@@ -216,7 +218,8 @@ class LbtsState {
     }
   };
 
-  ShardView View() const;
+  // Fill `view` in place: reusing view->floors keeps it allocation-free.
+  void View(ShardView* view) const;
 
   // New bound from a validated set of floors: min_i(floor_i + lookahead_i) - 1,
   // skipping drained shards.  Returns kSimTimeNever when every queue is empty

@@ -226,7 +226,7 @@ TEST_F(EngineTest, MigrationDeadlineStaysQuietForHealthyMigration) {
 
 // Every event and frame of this run is either staged before Start or produced
 // inside sync windows, so the conservative bound must be airtight: zero
-// cross-shard frames clamped into a receiver's past, and the coordinator must
+// cross-shard frames clamped into a receiver's past, and the shards must
 // actually have run LBTS rounds to get there.  (Harness injections at
 // quiescence barriers are the one legitimate clamp source; this test has
 // none.)
@@ -255,7 +255,7 @@ TEST_F(EngineTest, LbtsBoundNeverAdmitsAFrameIntoThePast) {
   const MetricsSnapshot snap = cluster.metrics()->Snapshot();
   EXPECT_EQ(snap.total.counters[static_cast<std::size_t>(CounterId::kSyncFramesClamped)], 0u);
   EXPECT_GT(snap.total.counters[static_cast<std::size_t>(CounterId::kLbtsWindows)], 0u);
-  // Windows are a coordinator-only activity, per the slot convention.
+  // Window counters live in the coordinator slot, whichever shard opened them.
   const ShardSnapshot& coord =
       snap.shards[static_cast<std::size_t>(cluster.coordinator_slot())];
   EXPECT_EQ(coord.counters[static_cast<std::size_t>(CounterId::kLbtsWindows)],
@@ -263,9 +263,51 @@ TEST_F(EngineTest, LbtsBoundNeverAdmitsAFrameIntoThePast) {
   cluster.Stop();
 }
 
+// Windows are opened by whichever shard blocks last, never by two at once:
+// every opening bumps the epoch and the coordinator slot's lbts_windows under
+// one mutex, so the two deltas agree exactly, at any shard count.  Chained
+// migrations keep shards flipping between tight and relaxed bounds; strictly
+// conservative windows (wide_window_spans = 0) make hundreds of openings.
+TEST_F(EngineTest, LbtsEachWindowOpenedByExactlyOneShard) {
+  for (const int machines : {4, 8}) {
+    for (const std::uint32_t wide_spans : {0u, 512u}) {
+      SCOPED_TRACE(std::to_string(machines) + " shards, wide_window_spans " +
+                   std::to_string(wide_spans));
+      ParallelClusterConfig config;
+      config.machines = machines;
+      config.sync.enabled = true;
+      config.sync.wide_window_spans = wide_spans;
+      ParallelCluster cluster(config);
+      TokenRingSpec spec;
+      spec.rings = machines;
+      spec.nodes_per_ring = 4;
+      spec.tokens_per_node = 1;
+      spec.hops_per_token = 100;
+      spec.migrate_count = 3;
+      spec.migrate_after_tokens = 1;
+      const std::vector<TokenRing> rings = BuildTokenRings(cluster, spec);
+      KickTokenRings(cluster, rings, spec.tokens_per_node, spec.hops_per_token);
+
+      // One wide window can cover a whole short run, so count from the start.
+      const MetricShard& coord = cluster.metrics()->shard(cluster.coordinator_slot());
+      const std::uint64_t epoch0 = cluster.lbts()->epoch();
+      const std::uint64_t windows0 = coord.Counter(CounterId::kLbtsWindows);
+      ASSERT_TRUE(cluster.RunUntilQuiescent(std::chrono::seconds(60)));
+      const std::uint64_t epochs = cluster.lbts()->epoch() - epoch0;
+      EXPECT_GT(epochs, 0u);
+      EXPECT_EQ(coord.Counter(CounterId::kLbtsWindows) - windows0, epochs);
+      const MetricsSnapshot snap = cluster.metrics()->Snapshot();
+      EXPECT_EQ(snap.total.counters[static_cast<std::size_t>(CounterId::kSyncFramesClamped)], 0u);
+      cluster.Stop();
+      EXPECT_EQ(cluster.TotalStat(stat::kMigrations),
+                static_cast<std::int64_t>(spec.rings) * spec.nodes_per_ring * spec.migrate_count);
+    }
+  }
+}
+
 TEST_F(EngineTest, AdaptiveLbtsOpensWideWindowsAndKeepsDeliveryExact) {
   // Default sync config: adaptive lookahead and wide windows are ON.  With no
-  // migration in flight no shard is ever tight, so the coordinator should be
+  // migration in flight no shard is ever tight, so the shards should be
   // opening wide windows -- and every delivery must still be exactly-once,
   // with clamped arrivals (if any) accounted as wide-era residue, never as a
   // conservative-sync violation.

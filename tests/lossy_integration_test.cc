@@ -93,10 +93,18 @@ TEST_F(LossyIntegrationTest, FileSystemWorksUnderLoss) {
 
 // Property sweep: migration mid-RPC under several loss rates and seeds; the
 // client must complete its full series exactly once.
+//
+// ctest registers each case under the printed bytes of its LossCase. Those
+// bytes once included four bytes of uninitialised padding after drop_percent,
+// so the registered names changed from run to run. name_tag fills that gap
+// explicitly with the bytes the cases were first registered under, which
+// keeps every name stable. It plays no part in the test itself.
 struct LossCase {
   int drop_percent;
+  std::uint32_t name_tag;
   std::uint64_t seed;
 };
+static_assert(sizeof(LossCase) == 16, "LossCase must have no padding");
 
 class LossSweep : public LossyIntegrationTest,
                   public ::testing::WithParamInterface<LossCase> {};
@@ -128,9 +136,12 @@ TEST_P(LossSweep, RpcSeriesSurvivesMigrationUnderLoss) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Losses, LossSweep,
-                         ::testing::Values(LossCase{0, 1}, LossCase{5, 2}, LossCase{10, 3},
-                                           LossCase{20, 4}, LossCase{20, 5},
-                                           LossCase{30, 6}));
+                         ::testing::Values(LossCase{0, 0x002C3B03, 1},
+                                           LossCase{5, 0xEFD00000, 2},
+                                           LossCase{10, 0, 3},
+                                           LossCase{20, 0, 4},
+                                           LossCase{20, 0x00091E03, 5},
+                                           LossCase{30, 0xCAD00000, 6}));
 
 }  // namespace
 }  // namespace demos

@@ -16,6 +16,8 @@
 #include <thread>
 #include <vector>
 
+#include <time.h>
+
 #include "src/base/stats.h"
 #include "src/kernel/cluster.h"
 #include "src/kernel/engine.h"
@@ -378,6 +380,83 @@ TEST_F(ParallelClusterTest, PostRunsOnShardThreadAndRestartWorks) {
   cluster.Stop();
 }
 
+// The caller of RunUntilQuiescent does not coordinate: shards open LBTS
+// windows and announce drains themselves, and the caller sleeps on a condvar
+// between verifications.  Over >= 50ms of synced hop-style traffic (chained
+// migrations under stale-address tokens) its thread CPU must stay far below
+// its wall time -- a spin-polling coordinator reads ~80% here.
+TEST_F(ParallelClusterTest, QuiescenceCallerThreadSleepsThroughSyncedRun) {
+  TokenRingSpec spec;
+  spec.rings = 4;
+  spec.nodes_per_ring = 4;
+  spec.tokens_per_node = 1;
+  spec.hops_per_token = 400;
+  spec.migrate_count = 20;
+  spec.migrate_after_tokens = 1;
+
+  const auto thread_cpu_s = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+  };
+  double cpu_s = 0;
+  double wall_s = 0;
+  for (int round = 0; round < 50 && wall_s < 0.05; ++round) {
+    ParallelClusterConfig config;
+    config.machines = 2;
+    config.sync.enabled = true;
+    ParallelCluster cluster(config);
+    const std::vector<TokenRing> rings = BuildTokenRings(cluster, spec);
+    ASSERT_TRUE(cluster.RunUntilQuiescent(std::chrono::seconds(60)));  // staging
+    cluster.Post(0, [&cluster, &rings, &spec] {
+      KickTokenRings(cluster, rings, spec.tokens_per_node, spec.hops_per_token);
+    });
+    const double cpu0 = thread_cpu_s();
+    const auto wall0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(cluster.RunUntilQuiescent(std::chrono::seconds(60)));
+    wall_s += std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
+    cpu_s += thread_cpu_s() - cpu0;
+    cluster.Stop();
+    EXPECT_EQ(cluster.TotalStat(stat::kMigrations),
+              static_cast<std::int64_t>(spec.rings) * spec.nodes_per_ring * spec.migrate_count);
+  }
+  ASSERT_GE(wall_s, 0.05);
+  EXPECT_LT(cpu_s, 0.10 * wall_s) << "caller thread used " << cpu_s * 1e3 << "ms CPU over "
+                                  << wall_s * 1e3 << "ms in RunUntilQuiescent";
+}
+
+// A drained announcement from a shard is only a hint: its snapshots may
+// predate the caller's latest Post().  Each iteration posts a closure that
+// sends one cross-shard message, and RunUntilQuiescent must not return before
+// the closure ran and its message was consumed -- in both time models.
+TEST_F(ParallelClusterTest, QuiescenceNeverReturnsBeforeAPostedSendIsConsumed) {
+  for (const bool sync : {false, true}) {
+    SCOPED_TRACE(sync ? "sync" : "free-running");
+    ParallelClusterConfig config;
+    config.machines = 2;
+    config.sync.enabled = sync;
+    ParallelCluster cluster(config);
+    auto sink = cluster.kernel(1).SpawnProcess("token_ring");
+    ASSERT_TRUE(sink.ok());
+    TokenRingConfig ring_config;
+    ring_config.machines = 2;
+    (void)cluster.kernel(1).FindProcess(sink->pid)->memory.WriteData(0, ring_config.Encode());
+    ASSERT_TRUE(cluster.RunUntilQuiescent());
+    const std::int64_t before = cluster.TotalStat(stat::kMsgsDelivered);
+    std::atomic<int> ran{0};
+    for (int i = 0; i < 10'000; ++i) {
+      cluster.Post(0, [&cluster, &ran, addr = *sink] {
+        cluster.kernel(0).SendFromKernel(addr, kTokenKick, MakeKickPayload(1, 0));
+        ran.fetch_add(1, std::memory_order_relaxed);
+      });
+      ASSERT_TRUE(cluster.RunUntilQuiescent()) << "iteration " << i;
+      ASSERT_EQ(ran.load(std::memory_order_relaxed), i + 1) << "iteration " << i;
+      ASSERT_EQ(cluster.TotalStat(stat::kMsgsDelivered), before + i + 1) << "iteration " << i;
+    }
+    cluster.Stop();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Engine equivalence, parameterized over the Engine interface.
 // ---------------------------------------------------------------------------
@@ -660,7 +739,7 @@ TEST_F(ParallelClusterTest, StressMigrationStormWithDeadlinesArmed) {
 // runs first, so wide windows open and per-link estimates grow -- then the
 // storm starts.  The moment a shard's kernel holds a migration offer it
 // publishes tight, its learned lookahead collapses to the static minimum, and
-// the coordinator falls back to strictly conservative bounds.  Frames
+// the next window falls back to strictly conservative bounds.  Frames
 // timestamped inside the old wide windows must still land exactly once, no
 // healthy migration may trip its watchdog, and any clamp must be accounted as
 // wide-era residue, never as a conservative-sync violation.  TSan runs this

@@ -163,13 +163,14 @@ TEST(LbtsStateTest, PublishProtocolVisibleToCoordinatorView) {
   // Fresh slots are born done for epoch 0; a real window resets the contract.
   lbts.OpenWindow(2000);
   lbts.MarkBusy(0);
-  LbtsState::ShardView view = lbts.View();
+  LbtsState::ShardView view;
+  lbts.View(&view);
   EXPECT_TRUE(view.any_busy);
   EXPECT_FALSE(view.all_done) << "nobody has published for the new epoch yet";
 
   lbts.PublishIdle(0, lbts.epoch(), 2100);
   lbts.PublishIdle(1, lbts.epoch(), kSimTimeNever);
-  view = lbts.View();
+  lbts.View(&view);
   EXPECT_FALSE(view.any_busy);
   EXPECT_TRUE(view.all_done);
   ASSERT_EQ(view.floors.size(), 2u);
@@ -178,31 +179,42 @@ TEST(LbtsStateTest, PublishProtocolVisibleToCoordinatorView) {
 
   // The next window invalidates the published epochs until shards republish.
   lbts.OpenWindow(3000);
-  view = lbts.View();
+  lbts.View(&view);
   EXPECT_FALSE(view.all_done);
   lbts.PublishIdle(0, lbts.epoch(), 3100);
   lbts.PublishIdle(1, lbts.epoch(), 3200);
-  EXPECT_TRUE(lbts.View().all_done);
+  lbts.View(&view);
+  EXPECT_TRUE(view.all_done);
 }
 
 TEST(LbtsStateTest, ViewSameDetectsFloorChanges) {
   LbtsState lbts(2);
   lbts.PublishIdle(0, 0, 100);
   lbts.PublishIdle(1, 0, 200);
-  const LbtsState::ShardView a = lbts.View();
-  EXPECT_TRUE(a.Same(lbts.View()));
+  LbtsState::ShardView a;
+  LbtsState::ShardView b;
+  lbts.View(&a);
+  lbts.View(&b);
+  EXPECT_TRUE(a.Same(b));
+  // Refilling a view reuses its floor buffer: verification runs on every
+  // shard idle edge, so it must not allocate.
+  const SimTime* buffer = b.floors.data();
   lbts.PublishIdle(1, 0, 300);  // same epoch, moved floor
-  EXPECT_FALSE(a.Same(lbts.View()));
+  lbts.View(&b);
+  EXPECT_EQ(b.floors.data(), buffer);
+  EXPECT_FALSE(a.Same(b));
 }
 
 TEST(LbtsStateTest, ViewReportsTightConsumersAndSameDetectsTheEdge) {
   LbtsState lbts(2);
   lbts.PublishIdle(0, 0, 100);
   lbts.PublishIdle(1, 0, 200);
-  const LbtsState::ShardView relaxed = lbts.View();
+  LbtsState::ShardView relaxed;
+  lbts.View(&relaxed);
   EXPECT_FALSE(relaxed.any_tight);
   lbts.PublishIdle(1, 0, 200, /*tight=*/true);  // migration offer left shard 1
-  const LbtsState::ShardView tight = lbts.View();
+  LbtsState::ShardView tight;
+  lbts.View(&tight);
   EXPECT_TRUE(tight.any_tight);
   EXPECT_FALSE(relaxed.Same(tight)) << "a tight edge must invalidate the snapshot pair";
 }
