@@ -61,8 +61,6 @@ namespace demos {
   /* Forwarding addresses and their garbage collection (Sec. 4). */           \
   X(kForwardingAddresses, "forwarding_addresses")                             \
   X(kForwardingSuperseded, "forwarding_superseded")                           \
-  X(kForwardingCleared, "forwarding_cleared")                                 \
-  X(kForwardingExpired, "forwarding_expired")                                 \
   X(kGcRerouted, "gc_rerouted")                                               \
   /* Churn-proof addressing: record reclaim, chain collapse, gossip. */       \
   X(kFwdRecordsLive, "fwd_records_live")                                      \

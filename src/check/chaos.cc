@@ -34,17 +34,6 @@ void WriteConfig(Engine& engine, const ProcessAddress& addr, const Bytes& config
   }
 }
 
-const char* GcName(int gc_mode) {
-  switch (gc_mode) {
-    case 1:
-      return "on-death";
-    case 2:
-      return "ttl";
-    default:
-      return "keep-forever";
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -65,8 +54,9 @@ ChaosScenario ScenarioFromSeed(std::uint64_t seed) {
   s.retransmit_timeout_us = 1000 + rng.Below(3001);
 
   s.forwarding_mode = !rng.Chance(0.2);
-  const std::uint64_t gc_roll = rng.Below(10);
-  s.gc_mode = gc_roll < 6 ? 0 : (gc_roll < 8 ? 1 : 2);
+  // Spent draw: it once picked a forwarding-GC policy.  Kept so every seed
+  // still derives the scenario it always did.
+  (void)rng.Below(10);
   s.data_packet_bytes = std::size_t{128} << rng.Below(6);  // 128..4096
   s.data_window_packets = 1 + rng.Below(16);
   s.chaos_window_us = 60'000 + rng.Below(190'001);
@@ -262,7 +252,7 @@ std::string ChaosScenario::Describe() const {
      << " dup=" << duplicate_probability << " reliable=" << (reliable ? 1 : 0)
      << " rto=" << retransmit_timeout_us << "us\n";
   os << "  kernel: mode=" << (forwarding_mode ? "forwarding" : "return-to-sender")
-     << " gc=" << GcName(gc_mode) << " packet=" << data_packet_bytes
+     << " packet=" << data_packet_bytes
      << "B window=" << data_window_packets << "\n";
   os << "  workload: pingers=" << pingers << "(ticks=" << pinger_ticks
      << ",period=" << pinger_period_us << "us) servers=" << servers << " sinks=" << sinks
@@ -405,13 +395,6 @@ KernelConfig ScenarioKernelConfig(const ChaosScenario& s, const ChaosOptions& op
   }
   kc.delivery_mode = s.forwarding_mode ? KernelConfig::DeliveryMode::kForwarding
                                        : KernelConfig::DeliveryMode::kReturnToSender;
-  kc.forwarding_gc = s.gc_mode == 1   ? KernelConfig::ForwardingGc::kOnProcessDeath
-                     : s.gc_mode == 2 ? KernelConfig::ForwardingGc::kExpireAfterTtl
-                                      : KernelConfig::ForwardingGc::kKeepForever;
-  // Far beyond any chaos window, so under TTL mode chains never expire
-  // mid-run (an expired chain is legal but would defeat the convergence and
-  // chain-completeness assertions).
-  kc.forwarding_ttl_us = 60'000'000;
   kc.data_packet_bytes = s.data_packet_bytes;
   kc.data_window_packets = s.data_window_packets;
   kc.forward_fault = options.forward_fault;

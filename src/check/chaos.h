@@ -48,7 +48,6 @@ struct ChaosScenario {
 
   // Kernel policy.
   bool forwarding_mode = true;  // false: return-to-sender baseline
-  int gc_mode = 0;              // 0 keep-forever, 1 on-death, 2 ttl
   std::size_t data_packet_bytes = 1024;
   std::size_t data_window_packets = 8;
 

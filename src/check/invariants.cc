@@ -417,13 +417,11 @@ void ClusterChecker::CheckLiveness() {
 
 void ClusterChecker::CheckForwardingChains() {
   const KernelConfig& kc = cluster_.kernel(0).config();
-  // Epoch reclamation removes addresses just like TTL expiry does, so chain
-  // completeness only holds where no reclaim actually happened.  Requiring
-  // evidence (kFwdReclaimed > 0) keeps the check sharp in runs where the
-  // sweeper never fired.
+  // Epoch reclamation removes addresses, so chain completeness only holds
+  // where no reclaim actually happened.  Requiring evidence (kFwdReclaimed >
+  // 0) keeps the check sharp in runs where the sweeper never fired.
   const bool expiry_legal =
-      kc.forwarding_gc == KernelConfig::ForwardingGc::kExpireAfterTtl ||
-      (kc.forwarding_reclaim_enabled && cluster_.TotalStat(stat::kFwdReclaimed) > 0);
+      kc.forwarding_reclaim_enabled && cluster_.TotalStat(stat::kFwdReclaimed) > 0;
   const int n = cluster_.size();
 
   // Walk from (machine, pid): returns the live host reached, or kNoMachine.

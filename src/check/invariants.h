@@ -23,8 +23,8 @@
 //                     expected process has exactly one; no migration state or
 //                     kInMigration record lingers.
 //   I5 chains         every forwarding address chains, cycle-free, to a live
-//                     record; under kKeepForever/kOnProcessDeath every past
-//                     host of a live process still chains to it.
+//                     record; unless the epoch reclaimer has removed a record,
+//                     every past host of a live process still chains to it.
 //   I6 byte-exact     each MOVE_DATA section arrives with exactly the bytes
 //                     frozen at the source, and the restarted process's
 //                     memory image re-serializes to the frozen image.

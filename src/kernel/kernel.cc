@@ -122,22 +122,6 @@ void Kernel::FinalizeExit(const ProcessId& pid) {
     SendFromKernel(KernelAddress(pid.creating_machine), MsgType::kLocationRegister, w.Take());
   }
 
-  if (config_.forwarding_gc == KernelConfig::ForwardingGc::kOnProcessDeath) {
-    // Follow the backward pointers along the migration path (Sec. 4) and
-    // retire every forwarding address left for this process.
-    ByteWriter w;
-    w.Pid(pid);
-    const PayloadRef cleared(w.Take());  // one buffer, shared by every clear
-    for (MachineId m : record->migration_history) {
-      Message clear;
-      clear.sender = kernel_address();
-      clear.receiver = KernelAddress(m);
-      clear.type = MsgType::kForwardingClear;
-      clear.payload = cleared;
-      Transmit(std::move(clear));
-    }
-  }
-
   FlushPushAcksFor(pid);
   processes_.Erase(pid);
 }
@@ -246,17 +230,16 @@ void Kernel::OnWireDelivery(MachineId wire_src, PayloadRef wire) {
 }
 
 void Kernel::RouteIncoming(Message msg, MachineId wire_src) {
-  // Amortized addressing-state sweep: TTL expiry, epoch reclamation of
-  // forwarding records, and registry-tombstone GC are all lazy (checked when
-  // traffic flows), which keeps them off any timer and free at quiescence.
+  // Amortized addressing-state sweep: epoch reclamation of forwarding
+  // records and registry-tombstone GC are lazy (checked when traffic flows),
+  // which keeps them off any timer and free at quiescence.
   if (++routes_since_sweep_ >= 64) {
     routes_since_sweep_ = 0;
     SweepAddressingState();
   }
   // Deferred gossip: rumors that were rate-limited at note time ride the next
   // routed message once the flush interval has passed.
-  if (!pending_rumors_.empty() &&
-      queue_.Now() - last_gossip_flush_ >= config_.gossip_interval_us) {
+  if (!pending_rumors_.empty()) {
     FlushGossip();
   }
 
@@ -271,16 +254,6 @@ void Kernel::RouteIncoming(Message msg, MachineId wire_src) {
     return;
   }
   if (entry->IsForwarding()) {
-    if (config_.forwarding_gc == KernelConfig::ForwardingGc::kExpireAfterTtl &&
-        queue_.Now() - entry->installed_at > config_.forwarding_ttl_us) {
-      // TTL garbage collection (Sec. 4 future work): drop the aged address
-      // and let the locate fallback below find the process.
-      stats_.Add(StatId::kForwardingExpired);
-      DropForwardingMeta(msg.receiver.pid);
-      processes_.Erase(msg.receiver.pid);
-      HandleAbsentReceiver(std::move(msg), wire_src);
-      return;
-    }
     ForwardThroughAddress(std::move(msg), entry->forward_to);
     return;
   }
@@ -390,9 +363,6 @@ void Kernel::HandleKernelMessage(Message msg, MachineId wire_src) {
       return;
     case MsgType::kLocationRegister:
       HandleLocationRegister(msg);
-      return;
-    case MsgType::kForwardingClear:
-      HandleForwardingClear(msg);
       return;
     case MsgType::kChainCollapse:
       HandleChainCollapse(msg);

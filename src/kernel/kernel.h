@@ -59,19 +59,6 @@ struct KernelConfig {
   // Lazy link update (Sec. 5).  Disabled for the ablation arm of E5/E6.
   bool link_update_enabled = true;
 
-  // Forwarding-address garbage collection (Sec. 4 future work):
-  //   kKeepForever     -- the paper's implementation ("we have not found it
-  //                       necessary to remove forwarding addresses").
-  //   kOnProcessDeath  -- backward pointers along the migration path retire
-  //                       every forwarding address when the process exits.
-  //   kExpireAfterTtl  -- age out forwarding addresses; traffic that later
-  //                       hits a missing address falls back to a locate
-  //                       round trip against the creating machine's location
-  //                       registry ("some system-wide name service", Sec. 4).
-  enum class ForwardingGc { kKeepForever, kOnProcessDeath, kExpireAfterTtl };
-  ForwardingGc forwarding_gc = ForwardingGc::kKeepForever;
-  SimDuration forwarding_ttl_us = 10'000'000;
-
   // ---- Churn-proof addressing (forwarding GC, chain collapse, gossip). ----
 
   // Resting bound on forwarding-chain length.  Collapse-on-traversal keeps
@@ -88,27 +75,23 @@ struct KernelConfig {
   // link-update acks retire peers.  A traffic-amortized sweeper reclaims a
   // record once its peer set drains and it is older than the grace window, or
   // unconditionally once it ages past the churn-epoch watermark; a hard cap
-  // with LRU eviction bounds memory even when acks are lost.  Orthogonal to
-  // forwarding_gc (which stays as the paper-era policy knob): reclamation
-  // runs in every mode except when disabled here.
+  // with LRU eviction bounds memory even when acks are lost.  This is the one
+  // forwarding-GC mechanism (Sec. 4 future work); false is the paper's
+  // implementation, which keeps every forwarding address forever ("we have
+  // not found it necessary to remove forwarding addresses").
   bool forwarding_reclaim_enabled = true;
   SimDuration reclaim_grace_us = 2'000'000;
   SimDuration reclaim_watermark_us = 30'000'000;
-  std::size_t forwarding_record_cap = 4096;
-  std::size_t tombstone_cap = 8192;
 
   // Epidemic location service: kernels push (pid, machine, migration-version)
   // triples to gossip_fanout random known peers whenever their own registry
-  // advances, and piggyback up to gossip_max_triples additional registry
-  // entries per push as anti-entropy.  Pushes are rate-limited to one flush
-  // per gossip_interval_us per kernel (deferred rumors flush on the next
-  // routed message), and a triple is only re-rumored by a kernel whose
-  // registry it advanced -- so gossip quiesces once every reachable kernel
-  // has converged, and no standing timers are armed.
+  // advances, and piggyback a few additional registry entries per push as
+  // anti-entropy.  Pushes are rate-limited per kernel (deferred rumors flush
+  // on the next routed message), and a triple is only re-rumored by a kernel
+  // whose registry it advanced -- so gossip quiesces once every reachable
+  // kernel has converged, and no standing timers are armed.
   bool gossip_enabled = true;
   int gossip_fanout = 2;
-  SimDuration gossip_interval_us = 20'000;
-  std::size_t gossip_max_triples = 16;
 
   // Locate-probe retry/backoff.  The first probes target the creating
   // machine; subsequent attempts rotate over non-suspect known peers (any
@@ -467,7 +450,6 @@ class Kernel {
   void HandleLocateReq(const Message& msg);
   void HandleLocateResp(const Message& msg);
   void HandleLocationRegister(const Message& msg);
-  void HandleForwardingClear(const Message& msg);
   void SendLinkUpdate(const ProcessAddress& original_sender, const ProcessId& migrated,
                       MachineId new_machine);
 
@@ -485,8 +467,8 @@ class Kernel {
   void InstallForwardingRecord(const ProcessId& pid, MachineId machine, std::uint64_t version,
                                std::vector<MachineId> peers);
   void ReclaimForwardingRecord(const ProcessId& pid);
-  // Drop GC bookkeeping for a record removed by a non-sweeper path (TTL
-  // expiry, explicit clear, the process moving back onto this machine).
+  // Drop GC bookkeeping for a record removed by a non-sweeper path (the
+  // process moving back onto this machine).
   void DropForwardingMeta(const ProcessId& pid);
   void NoteForwardingPeer(const ProcessId& pid, MachineId peer);
   void SweepAddressingState();

@@ -44,8 +44,6 @@ const char* MsgTypeName(MsgType t) {
       return "LOCATE_RESP";
     case MsgType::kLocationRegister:
       return "LOCATION_REGISTER";
-    case MsgType::kForwardingClear:
-      return "FORWARDING_CLEAR";
     case MsgType::kChainCollapse:
       return "CHAIN_COLLAPSE";
     case MsgType::kLinkUpdateAck:

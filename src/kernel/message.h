@@ -54,7 +54,6 @@ enum class MsgType : std::uint16_t {
   kLocateReq = 34,       // baseline: ask home kernel where pid lives now
   kLocateResp = 35,
   kLocationRegister = 36,  // baseline: destination registers new location at home kernel
-  kForwardingClear = 37,   // GC extension: drop the forwarding address for a dead pid
   kChainCollapse = 38,     // owner -> intermediate hops: re-point forwarding straight at me
   kLinkUpdateAck = 39,     // link-update receiver -> forwarder: peer retired, record may GC
   kGossip = 40,            // kernel -> kernel: epidemic (pid, machine, version) triples

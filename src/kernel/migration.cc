@@ -621,9 +621,10 @@ void Kernel::RestartMigratedProcess(const ProcessId& pid) {
   MaybeScheduleDispatch(*record);
 
   // Keep the creating machine's location registry current: the
-  // return-to-sender baseline depends on it, and the TTL forwarding GC uses
-  // it as the fallback name service (Sec. 4).  The local advance also seeds
-  // the epidemic service (rumored to gossip_fanout peers).
+  // return-to-sender baseline depends on it, and a message that meets a
+  // reclaimed forwarding address uses it as the fallback name service
+  // (Sec. 4).  The local advance also seeds the epidemic service (rumored to
+  // gossip_fanout peers).
   NoteLocationAdvance(pid, machine_, record->migration_history.size());
   if (pid.creating_machine != machine_) {
     ByteWriter w;
@@ -985,11 +986,10 @@ void Kernel::HandleAbsentReceiver(Message msg, MachineId wire_src) {
   }
 
   // Forwarding mode: an absent pid means the process terminated -- or its
-  // forwarding address was garbage-collected (TTL expiry or epoch
-  // reclamation).  Consult the gossip-fed local registry first, then fall
-  // back to a locate round trip before declaring the message dead.
-  if ((config_.forwarding_gc == KernelConfig::ForwardingGc::kExpireAfterTtl ||
-       config_.forwarding_reclaim_enabled || config_.gossip_enabled) &&
+  // forwarding address was reclaimed by the epoch sweeper.  Consult the
+  // gossip-fed local registry first, then fall back to a locate round trip
+  // before declaring the message dead.
+  if ((config_.forwarding_reclaim_enabled || config_.gossip_enabled) &&
       msg.hop_count < 2 * kMaxForwardHops) {
     const ProcessId pid = msg.receiver.pid;
     msg.hop_count++;
@@ -1378,17 +1378,6 @@ bool Kernel::RefuseSendToDead(const ProcessAddress& sender, const ProcessAddress
   return true;
 }
 
-void Kernel::HandleForwardingClear(const Message& msg) {
-  ByteReader r(msg.payload);
-  const ProcessId pid = r.Pid();
-  const auto* entry = processes_.FindEntry(pid);
-  if (entry != nullptr && entry->IsForwarding()) {
-    DropForwardingMeta(pid);
-    processes_.Erase(pid);
-    stats_.Add(StatId::kForwardingCleared);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Churn-proof addressing: chain collapse, epoch reclamation, and the
 // epidemic location service (docs/PROTOCOL.md "Addressing, forwarding GC &
@@ -1466,7 +1455,7 @@ void Kernel::HandleLinkUpdateAck(const Message& msg) {
 
 void Kernel::InstallForwardingRecord(const ProcessId& pid, MachineId machine,
                                      std::uint64_t version, std::vector<MachineId> peers) {
-  processes_.InstallForwardingAddress(pid, machine, queue_.Now(), version);
+  processes_.InstallForwardingAddress(pid, machine, version);
   auto [it, inserted] = fwd_meta_.try_emplace(pid);
   it->second.peers = std::move(peers);
   it->second.installed_at = queue_.Now();
@@ -1505,22 +1494,10 @@ void Kernel::NoteForwardingPeer(const ProcessId& pid, MachineId peer) {
 }
 
 void Kernel::SweepAddressingState() {
+  // Per-kernel sizes of the two hard caps below.
+  constexpr std::size_t kForwardingRecordCap = 4096;
+  constexpr std::size_t kTombstoneCap = 8192;
   const SimTime now = queue_.Now();
-
-  // TTL expiry (the PR-era policy; only in kExpireAfterTtl mode).
-  if (config_.forwarding_gc == KernelConfig::ForwardingGc::kExpireAfterTtl) {
-    auto& entries = processes_.mutable_entries();
-    for (auto it = entries.begin(); it != entries.end();) {
-      if (it->second.IsForwarding() && now - it->second.installed_at > config_.forwarding_ttl_us) {
-        stats_.Add(StatId::kForwardingExpired);
-        DropForwardingMeta(it->first);
-        it = entries.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
   std::uint64_t records_reclaimed = 0;
   std::uint64_t tombstones_reclaimed = 0;
   if (config_.forwarding_reclaim_enabled) {
@@ -1543,7 +1520,7 @@ void Kernel::SweepAddressingState() {
       ++records_reclaimed;
     }
     // Hard cap with LRU fallback: bounded memory even when every ack is lost.
-    while (fwd_meta_.size() > config_.forwarding_record_cap) {
+    while (fwd_meta_.size() > kForwardingRecordCap) {
       auto lru = fwd_meta_.begin();
       for (auto it = fwd_meta_.begin(); it != fwd_meta_.end(); ++it) {
         if (it->second.last_used < lru->second.last_used) {
@@ -1581,7 +1558,7 @@ void Kernel::SweepAddressingState() {
     }
     // Registry hard cap: evict the oldest tombstones first, never live
     // entries (they are the gossip substrate).
-    while (location_registry_.size() > config_.tombstone_cap) {
+    while (location_registry_.size() > kTombstoneCap) {
       auto oldest = location_registry_.end();
       for (auto it = location_registry_.begin(); it != location_registry_.end(); ++it) {
         if (it->second.where != kNoMachine) {
@@ -1611,7 +1588,7 @@ void Kernel::SweepAddressingState() {
 
 // ---------------------------------------------------------------------------
 // Epidemic location service.  Strictly news-driven: rumors queue when a
-// registry entry advances and flush at most once per gossip_interval_us,
+// registry entry advances and flush at most once per kGossipIntervalUs,
 // riding the next routed message when rate-limited.  A triple is re-rumored
 // only by kernels it advanced, so the epidemic dies out once every reachable
 // kernel has converged -- no standing timers, and the cluster still settles.
@@ -1628,30 +1605,33 @@ bool Kernel::NoteLocationAdvance(const ProcessId& pid, MachineId where, std::uin
   rumor.where = where;
   rumor.version = version;
   rumor.updated_at = queue_.Now();
-  if (queue_.Now() - last_gossip_flush_ >= config_.gossip_interval_us) {
-    FlushGossip();
-  }
+  FlushGossip();
   return true;
 }
 
 void Kernel::FlushGossip() {
+  // Rate limit: one push per kernel per interval; deferred rumors ride the
+  // next routed message.
+  constexpr SimDuration kGossipIntervalUs = 20'000;
+  // Anti-entropy budget: registry entries piggybacked on each push.
+  constexpr std::size_t kGossipMaxTriples = 16;
   if (!config_.gossip_enabled || pending_rumors_.empty() || known_peers_.empty() ||
-      config_.gossip_fanout <= 0) {
+      config_.gossip_fanout <= 0 || queue_.Now() - last_gossip_flush_ < kGossipIntervalUs) {
     return;
   }
   last_gossip_flush_ = queue_.Now();
 
-  // The payload: every pending rumor, plus up to gossip_max_triples random
+  // The payload: every pending rumor, plus up to kGossipMaxTriples random
   // registry entries as anti-entropy (old news costs nothing extra to carry
   // and repairs peers that missed the original rumor).
   std::vector<std::pair<ProcessId, LocationEntry>> triples;
-  triples.reserve(pending_rumors_.size() + config_.gossip_max_triples);
+  triples.reserve(pending_rumors_.size() + kGossipMaxTriples);
   for (const auto& [pid, entry] : pending_rumors_) {
     triples.emplace_back(pid, entry);
   }
   pending_rumors_.clear();
-  if (!location_registry_.empty() && config_.gossip_max_triples > 0) {
-    std::size_t budget = config_.gossip_max_triples;
+  if (!location_registry_.empty()) {
+    std::size_t budget = kGossipMaxTriples;
     const std::size_t skip = rng_.Next() % location_registry_.size();
     std::size_t i = 0;
     const SimTime now = queue_.Now();

@@ -133,7 +133,6 @@ class ProcessTable {
   struct Entry {
     std::unique_ptr<ProcessRecord> process;  // null for a forwarding address
     MachineId forward_to = kNoMachine;       // valid when process is null
-    SimTime installed_at = 0;                // forwarding only; for TTL GC
     // Migration version the forwarding address was installed at (the length
     // of the migration history after the move that left it behind).  A
     // kChainCollapse re-points the entry only when it carries a strictly
@@ -158,14 +157,14 @@ class ProcessTable {
   ProcessRecord* Insert(std::unique_ptr<ProcessRecord> record) {
     ProcessRecord* raw = record.get();
     const ProcessId pid = record->pid;
-    entries_[pid] = Entry{std::move(record), kNoMachine, 0, 0};
+    entries_[pid] = Entry{std::move(record), kNoMachine, 0};
     return raw;
   }
 
   // Replace whatever is at `pid` with a forwarding address to `machine`.
-  void InstallForwardingAddress(const ProcessId& pid, MachineId machine, SimTime now = 0,
+  void InstallForwardingAddress(const ProcessId& pid, MachineId machine,
                                 std::uint64_t version = 0) {
-    entries_[pid] = Entry{nullptr, machine, now, version};
+    entries_[pid] = Entry{nullptr, machine, version};
   }
 
   void Erase(const ProcessId& pid) { entries_.erase(pid); }

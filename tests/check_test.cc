@@ -52,6 +52,43 @@ TEST(ChaosScenarioTest, SameSeedDerivesSamePlan) {
   EXPECT_EQ(a.crashes.size(), b.crashes.size());
 }
 
+TEST(ChaosScenarioTest, PathFifoReproSeedsDeriveTheirRecordedScenarios) {
+  // The seeds that reproduce the open return-to-sender path-FIFO failure.
+  // Their plans must stay put, draw for draw, or the repro lines go stale.
+  struct Recorded {
+    std::uint64_t seed;
+    bool churn;
+    bool permadeath;
+    const char* describe;
+  };
+  const Recorded recorded[] = {
+      {18468, false, false,
+       "seed=18468 machines=4 window=121533us\n"
+       "  net: prop=52us bw=14B/us jitter=190us drop=0.113734 dup=0.0508074 reliable=1 "
+       "rto=3462us\n"
+       "  kernel: mode=return-to-sender packet=512B window=6\n"
+       "  workload: pingers=2(ticks=9,period=4504us) servers=3 sinks=1 cpu=1 rpc=2\n"
+       "  chaos: migrations=27 crashes=1 deaths=0 notes=1"},
+      {1160, true, false,
+       "seed=1160 machines=5 window=206574us\n"
+       "  net: prop=63us bw=13B/us jitter=0us drop=0.0373296 dup=0 reliable=1 rto=2599us\n"
+       "  kernel: mode=return-to-sender packet=4096B window=9\n"
+       "  workload: pingers=3(ticks=10,period=3619us) servers=1 sinks=0 cpu=2 rpc=2\n"
+       "  chaos: migrations=48 crashes=13 deaths=0 notes=10"},
+      {748, true, true,
+       "seed=748 machines=5 window=200000us\n"
+       "  net: prop=117us bw=44B/us jitter=0us drop=0.08 dup=0 reliable=1 rto=2746us\n"
+       "  kernel: mode=return-to-sender packet=2048B window=14\n"
+       "  workload: pingers=3(ticks=7,period=4855us) servers=1 sinks=2 cpu=1 rpc=0\n"
+       "  chaos: migrations=43 crashes=4 deaths=1 notes=0 retries=19 deadline=68387us"},
+  };
+  for (const Recorded& r : recorded) {
+    const ChaosScenario s =
+        r.churn ? ChurnScenarioFromSeed(r.seed, r.permadeath) : ScenarioFromSeed(r.seed);
+    EXPECT_EQ(s.Describe(), r.describe);
+  }
+}
+
 TEST(ChaosScenarioTest, DisableFeatureReportsInactivity) {
   ChaosScenario s = ScenarioFromSeed(1);
   s.crashes.clear();

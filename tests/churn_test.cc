@@ -303,7 +303,7 @@ TEST_F(ChurnTest, GossipSpreadsLocationsAndReroutesPastDeadHome) {
   ASSERT_TRUE(counter.ok());
   cluster.RunUntilIdle();
   testutil::MigrateAndSettle(cluster, counter->pid, 0, 1);
-  // Rumor flushes are rate-limited to one per gossip_interval_us; let the
+  // Rumor flushes are rate-limited to one per 20 ms per kernel; let the
   // window open, then poke each kernel so routed traffic carries the news.
   cluster.RunFor(25'000);
   for (MachineId m = 0; m < 4; ++m) {

@@ -1,8 +1,14 @@
-// Forwarding-address garbage collection (Sec. 4 future work): TTL expiry
-// with the home-registry locate fallback, alongside the on-death backward
-// pointers tested in forwarding_test.cc.
+// Forwarding-address garbage collection (Sec. 4 future work) by the epoch
+// reclaimer, seen from the routing layer: a fresh record still forwards; once
+// a record is reclaimed, stale-address traffic reaches the process through the
+// creating machine's location registry or, off the home machine, a locate
+// round trip; repeated traffic keeps delivering.  The reclaimer's own
+// bookkeeping (grace, watermark, tombstones, late traffic to a dead process)
+// is pinned in churn_test.cc.
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "tests/test_util.h"
 
@@ -11,149 +17,124 @@ namespace {
 
 class GcTest : public ::testing::Test {
  protected:
+  static constexpr SimDuration kGraceUs = 10'000;
+  static constexpr SimDuration kWatermarkUs = 40'000;
+
   void SetUp() override {
     testutil::RegisterPrograms();
     GlobalCapture().clear();
   }
 
-  Cluster MakeTtlCluster(int machines, SimDuration ttl_us) {
+  // Small reclaim windows so records go within tens of milliseconds of
+  // virtual time.  One pulse counter per machine gives SweepOn a local target.
+  Cluster MakeReclaimCluster(int machines, bool gossip = true) {
     ClusterConfig config;
     config.machines = machines;
-    config.kernel.forwarding_gc = KernelConfig::ForwardingGc::kExpireAfterTtl;
-    config.kernel.forwarding_ttl_us = ttl_us;
-    return Cluster(config);
+    config.kernel.reclaim_grace_us = kGraceUs;
+    config.kernel.reclaim_watermark_us = kWatermarkUs;
+    config.kernel.gossip_enabled = gossip;
+    Cluster cluster(config);
+    pulses_.clear();
+    for (MachineId m = 0; m < machines; ++m) {
+      auto pulse = cluster.kernel(m).SpawnProcess("counter");
+      EXPECT_TRUE(pulse.ok());
+      pulses_.push_back(*pulse);
+    }
+    cluster.RunUntilIdle();
+    return cluster;
+  }
+
+  // The sweeper is amortized over routed traffic (one sweep per 64 messages a
+  // kernel routes): push enough through machine m to run it at least once.
+  void SweepOn(Cluster& cluster, MachineId m) {
+    const auto from = static_cast<MachineId>((m + 1) % cluster.size());
+    for (int i = 0; i < 70; ++i) {
+      cluster.kernel(from).SendFromKernel(pulses_[m], kIncrement, {});
+    }
+    cluster.RunUntilIdle();
   }
 
   std::uint64_t CounterValue(Cluster& cluster, const ProcessId& pid) {
     ProcessRecord* record = cluster.FindProcessAnywhere(pid);
     EXPECT_NE(record, nullptr);
+    if (record == nullptr) {
+      return 0;
+    }
     ByteReader r(record->memory.ReadData(0, 8));
     return r.U64();
   }
+
+  std::vector<ProcessAddress> pulses_;
 };
 
 TEST_F(GcTest, FreshForwardingAddressStillForwards) {
-  Cluster cluster = MakeTtlCluster(3, 1'000'000);
+  Cluster cluster = MakeReclaimCluster(3);
   auto counter = cluster.kernel(0).SpawnProcess("counter");
   ASSERT_TRUE(counter.ok());
   cluster.RunUntilIdle();
   testutil::MigrateAndSettle(cluster, counter->pid, 0, 1);
+  SweepOn(cluster, 0);  // a sweep inside the grace window keeps the record
 
   cluster.kernel(2).SendFromKernel(ProcessAddress{0, counter->pid}, kIncrement, {});
   cluster.RunUntilIdle();
   EXPECT_EQ(CounterValue(cluster, counter->pid), 1u);
   EXPECT_EQ(cluster.kernel(0).stats().Get(stat::kMsgsForwarded), 1);
-  EXPECT_EQ(cluster.TotalStat(stat::kForwardingExpired), 0);
-}
-
-TEST_F(GcTest, ExpiredAddressIsCollectedAndLocateFallbackDelivers) {
-  Cluster cluster = MakeTtlCluster(3, 10'000);
-  auto counter = cluster.kernel(0).SpawnProcess("counter");
-  ASSERT_TRUE(counter.ok());
-  cluster.RunUntilIdle();
-  testutil::MigrateAndSettle(cluster, counter->pid, 0, 1);
-  cluster.RunFor(50'000);  // well past the TTL
-
-  // A stale-address message triggers expiry; the old home IS the creating
-  // machine, so its own location registry reroutes the message directly.
-  cluster.kernel(2).SendFromKernel(ProcessAddress{0, counter->pid}, kIncrement, {});
-  cluster.RunUntilIdle();
-  EXPECT_EQ(CounterValue(cluster, counter->pid), 1u);
-  EXPECT_EQ(cluster.TotalStat(stat::kForwardingExpired), 1);
-  EXPECT_EQ(cluster.kernel(0).process_table().ForwardingAddressCount(), 0u);
-  EXPECT_EQ(cluster.TotalStat(stat::kGcRerouted), 1);
+  EXPECT_EQ(cluster.TotalStat(stat::kFwdReclaimed), 0);
+  EXPECT_EQ(cluster.TotalStat(stat::kGcRerouted), 0);
 }
 
 TEST_F(GcTest, ExpiredChainOffHomeUsesLocateRoundTrip) {
-  // Migrate m0 -> m1 -> m2, expire the m1 hop only: a message arriving at m1
-  // (not the creating machine) must park and locate against m0's registry.
-  Cluster cluster = MakeTtlCluster(4, 30'000);
+  // Migrate m0 -> m1 -> m2 and let m1's record and its registry hint both
+  // age out.  A message aimed at m1 (not the creating machine) must park and
+  // locate against m0's registry.  Gossip is off so no rumor re-seeds m1.
+  Cluster cluster = MakeReclaimCluster(4, /*gossip=*/false);
   auto counter = cluster.kernel(0).SpawnProcess("counter");
   ASSERT_TRUE(counter.ok());
   cluster.RunUntilIdle();
   testutil::MigrateAndSettle(cluster, counter->pid, 0, 1);
-  cluster.RunFor(50'000);  // m0's entry and m1's (none yet) age...
   testutil::MigrateAndSettle(cluster, counter->pid, 1, 2);
-  // Now m0's entry (old) and m1's entry (fresh) exist.  Age out only m0's by
-  // picking a send that first hits m0 after its TTL but before m1's expires.
-  cluster.RunFor(5'000);
+  cluster.RunFor(kWatermarkUs + 10'000);
+  SweepOn(cluster, 1);
+  ASSERT_EQ(cluster.kernel(1).process_table().FindEntry(counter->pid), nullptr);
+  ASSERT_EQ(cluster.kernel(1).LocationHint(counter->pid), kNoMachine);
 
-  cluster.kernel(3).SendFromKernel(ProcessAddress{0, counter->pid}, kIncrement, {});
-  cluster.RunUntilIdle();
-  EXPECT_EQ(CounterValue(cluster, counter->pid), 1u);
-  EXPECT_GE(cluster.TotalStat(stat::kForwardingExpired), 1);
-
-  // And a message aimed straight at the expired middle hop also arrives (via
-  // park + locate at m1, answered by home m0's registry).
-  cluster.RunFor(40'000);  // expire m1's entry too
   cluster.kernel(3).SendFromKernel(ProcessAddress{1, counter->pid}, kIncrement, {});
   cluster.RunUntilIdle();
-  EXPECT_EQ(CounterValue(cluster, counter->pid), 2u);
-}
-
-TEST_F(GcTest, DeadProcessAfterExpiryYieldsNotDeliverable) {
-  Cluster cluster = MakeTtlCluster(3, 10'000);
-  auto counter = cluster.kernel(0).SpawnProcess("counter");
-  auto sink = cluster.kernel(2).SpawnProcess("sink");
-  ASSERT_TRUE(counter.ok() && sink.ok());
-  cluster.RunUntilIdle();
-  testutil::TagProcess(cluster, *sink, 1);
-  testutil::MigrateAndSettle(cluster, counter->pid, 0, 1);
-  cluster.kernel(1).SendFromKernel(ProcessAddress{1, counter->pid}, MsgType::kKillProcess, {},
-                                   {}, kLinkDeliverToKernel);
-  cluster.RunUntilIdle();
-  cluster.RunFor(50'000);
-
-  Message msg;
-  msg.sender = *sink;
-  msg.receiver = ProcessAddress{0, counter->pid};
-  msg.type = kNote;
-  cluster.kernel(2).Transmit(std::move(msg));
-  cluster.RunUntilIdle();
-
-  auto captured = testutil::CapturedFor(1);
-  ASSERT_EQ(captured.size(), 1u);
-  EXPECT_EQ(captured[0].type, MsgType::kNotDeliverable);
+  EXPECT_EQ(CounterValue(cluster, counter->pid), 1u);
+  EXPECT_EQ(cluster.kernel(1).stats().Get(stat::kGcRerouted), 0);  // not a registry hit
+  EXPECT_EQ(cluster.kernel(1).LocationHint(counter->pid), 2);      // learned by the locate
+  EXPECT_EQ(cluster.TotalStat(stat::kLocateGaveUp), 0);
 }
 
 TEST_F(GcTest, HomeRegistryTracksMigrationsInForwardingMode) {
-  // The registry that backs the locate fallback is kept current even in
-  // plain forwarding mode.
-  Cluster cluster = MakeTtlCluster(3, 1'000'000);
+  // The registry that backs the fallback follows every hop, so once both
+  // records of a two-hop chain are reclaimed the home still reroutes to the
+  // current host, not to the first destination.
+  Cluster cluster = MakeReclaimCluster(3);
   auto counter = cluster.kernel(0).SpawnProcess("counter");
   ASSERT_TRUE(counter.ok());
   cluster.RunUntilIdle();
   testutil::MigrateAndSettle(cluster, counter->pid, 0, 2);
   testutil::MigrateAndSettle(cluster, counter->pid, 2, 1);
+  EXPECT_EQ(cluster.kernel(0).LocationHint(counter->pid), 1);
+  cluster.RunFor(kGraceUs + 10'000);
+  SweepOn(cluster, 0);
+  SweepOn(cluster, 2);
+  ASSERT_EQ(cluster.kernel(0).process_table().ForwardingAddressCount(), 0u);
+  ASSERT_EQ(cluster.kernel(2).process_table().ForwardingAddressCount(), 0u);
 
-  // Interrogate m0 (the home) via the locate protocol.
-  ByteWriter w;
-  w.Pid(counter->pid);
-  cluster.kernel(2).SendFromKernel(KernelAddress(0), MsgType::kLocateReq, w.Take());
+  cluster.kernel(2).SendFromKernel(ProcessAddress{0, counter->pid}, kIncrement, {});
   cluster.RunUntilIdle();
-  // The response lands at m2's kernel; in lieu of parked messages it is
-  // dropped, but the registry content is observable via a second expiry test:
-  // age out everything and send via the home.
-  Cluster fresh = MakeTtlCluster(3, 5'000);
-  auto c2 = fresh.kernel(0).SpawnProcess("counter");
-  ASSERT_TRUE(c2.ok());
-  fresh.RunUntilIdle();
-  testutil::MigrateAndSettle(fresh, c2->pid, 0, 2);
-  testutil::MigrateAndSettle(fresh, c2->pid, 2, 1);
-  fresh.RunFor(30'000);
-  fresh.kernel(2).SendFromKernel(ProcessAddress{0, c2->pid}, kIncrement, {});
-  fresh.RunUntilIdle();
-  EXPECT_EQ(CounterValue(fresh, c2->pid), 1u);  // registry pointed at m1
+  EXPECT_EQ(CounterValue(cluster, counter->pid), 1u);
+  EXPECT_EQ(cluster.kernel(0).stats().Get(stat::kGcRerouted), 1);
 }
 
 TEST_F(GcTest, RepeatedTrafficAfterExpiryPaysNoForwardingCost) {
-  // After GC + locate, the sender's link is patched by the locate machinery
-  // (or simply by the first direct reply), so steady traffic is direct.
-  ClusterConfig config;
-  config.machines = 3;
-  config.kernel.forwarding_gc = KernelConfig::ForwardingGc::kExpireAfterTtl;
-  config.kernel.forwarding_ttl_us = 10'000;
-  Cluster cluster(config);
+  // A process holding a stale link keeps reaching the migrated counter after
+  // the forwarding address has expired past the watermark: the registry
+  // reroute link-updates the sender exactly as a forwarding record would, so
+  // later sends go direct.
+  Cluster cluster = MakeReclaimCluster(3);
   auto relay = cluster.kernel(2).SpawnProcess("relay");
   auto counter = cluster.kernel(0).SpawnProcess("counter");
   ASSERT_TRUE(relay.ok() && counter.ok());
@@ -162,7 +143,9 @@ TEST_F(GcTest, RepeatedTrafficAfterExpiryPaysNoForwardingCost) {
   to_counter.address = *counter;
   cluster.kernel(2).FindProcess(relay->pid)->links.Insert(to_counter);
   testutil::MigrateAndSettle(cluster, counter->pid, 0, 1);
-  cluster.RunFor(50'000);
+  cluster.RunFor(kWatermarkUs + 10'000);
+  SweepOn(cluster, 0);
+  ASSERT_EQ(cluster.kernel(0).process_table().ForwardingAddressCount(), 0u);
 
   auto send = [&] {
     ByteWriter w;
@@ -172,16 +155,13 @@ TEST_F(GcTest, RepeatedTrafficAfterExpiryPaysNoForwardingCost) {
     cluster.kernel(2).SendFromKernel(*relay, kSendViaTable, w.Take());
     cluster.RunUntilIdle();
   };
-  send();  // expiry + gc reroute
+  send();
   EXPECT_EQ(CounterValue(cluster, counter->pid), 1u);
-  const std::int64_t rerouted_after_first = cluster.TotalStat(stat::kGcRerouted);
+  EXPECT_EQ(cluster.TotalStat(stat::kGcRerouted), 1);
   send();
   send();
   EXPECT_EQ(CounterValue(cluster, counter->pid), 3u);
-  // The reroute path does not patch links (no forwarding address to emit an
-  // update), so the home reroutes each time -- still delivering, still O(1)
-  // state on the home machine.
-  EXPECT_GE(cluster.TotalStat(stat::kGcRerouted), rerouted_after_first);
+  EXPECT_EQ(cluster.TotalStat(stat::kGcRerouted), 1);  // the link now names m1
 }
 
 }  // namespace
