@@ -16,7 +16,6 @@
 
 #include "src/base/stats.h"
 #include "src/kernel/cluster.h"
-#include "src/obs/trace.h"
 #include "src/obs/trace_export.h"
 #include "src/sys/bootstrap.h"
 #include "src/sys/fs/fs_client.h"
@@ -157,9 +156,9 @@ class TraceSink {
   void Collect(Cluster& cluster) {
     if (enabled()) {
       cluster.RunUntilIdle();
-      Tracer total = cluster.TotalTrace();
-      BuildTraceStats(total.events(), &derived_);
-      merged_.Merge(total);
+      const std::vector<FlightRecord> records = cluster.flight_recorder()->Merged();
+      BuildTraceStats(records, &derived_);
+      merged_.insert(merged_.end(), records.begin(), records.end());
     }
   }
 
@@ -168,11 +167,10 @@ class TraceSink {
     if (!enabled()) {
       return;
     }
-    merged_.SortByTime();
     std::printf("\ntrace-derived histograms:\n");
     derived_.Dump(std::cout);
-    if (WriteChromeTraceFile(merged_.events(), path_)) {
-      std::printf("wrote %zu trace events to %s\n", merged_.events().size(), path_.c_str());
+    if (WriteChromeTraceFile(merged_, path_)) {
+      std::printf("wrote %zu trace events to %s\n", merged_.size(), path_.c_str());
     } else {
       std::fprintf(stderr, "cannot write trace to %s\n", path_.c_str());
     }
@@ -180,7 +178,7 @@ class TraceSink {
 
  private:
   std::string path_;
-  Tracer merged_;
+  std::vector<FlightRecord> merged_;
   StatsRegistry derived_;
 };
 

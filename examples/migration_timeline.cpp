@@ -1,7 +1,7 @@
-// A Figure 3-1-style narration of migration, driven by the src/obs tracer:
-// two migrations (m0 -> m1 -> m2) are recorded as full span trees, a stale
-// message chases the process across both forwarding addresses, and the whole
-// timeline is exported as Chrome trace_event JSON.
+// A Figure 3-1-style narration of migration, driven by the src/obs flight
+// recorder in tracing mode: two migrations (m0 -> m1 -> m2) are recorded as
+// full span trees, a stale message chases the process across both forwarding
+// addresses, and the whole timeline is exported as Chrome trace_event JSON.
 //
 //   ./build/examples/migration_timeline [trace-output.json]
 //
@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "src/kernel/cluster.h"
 #include "src/kernel/message.h"
@@ -93,24 +94,24 @@ int Main(int argc, char** argv) {
   std::printf("process finished on m%u in state %s with %llu increments applied\n\n", 2,
               ExecStateName(moved->state), static_cast<unsigned long long>(r.U64()));
 
-  const Tracer total = cluster.TotalTrace();
-  WriteTraceSummary(total.events(), std::cout);
+  const std::vector<FlightRecord> records = cluster.flight_recorder()->Merged();
+  WriteTraceSummary(records, std::cout);
 
   StatsRegistry derived;
-  BuildTraceStats(total.events(), &derived);
+  BuildTraceStats(records, &derived);
   std::printf("\nderived histograms:\n");
   derived.Dump(std::cout);
 
-  if (!WriteChromeTraceFile(total.events(), out_path)) {
+  if (!WriteChromeTraceFile(records, out_path)) {
     std::fprintf(stderr, "cannot write %s\n", out_path);
     return 1;
   }
   std::printf("\nwrote %zu trace events to %s (open in chrome://tracing)\n",
-              total.events().size(), out_path);
+              records.size(), out_path);
 
   // Self-check: the first migration must show all 8 phases with nonzero
   // virtual duration, and the stale message must have transited >= 2 hops.
-  const auto spans = BuildMigrationSpans(total.events());
+  const auto spans = BuildMigrationSpans(records);
   if (spans.empty()) {
     std::fprintf(stderr, "no migration spans reconstructed\n");
     return 1;
@@ -122,7 +123,7 @@ int Main(int argc, char** argv) {
     }
   }
   std::uint32_t max_hops = 0;
-  for (const MessageTrace& msg : BuildMessageTraces(total.events())) {
+  for (const MessageTrace& msg : BuildMessageTraces(records)) {
     max_hops = std::max(max_hops, msg.hops);
   }
   if (max_hops < 2) {

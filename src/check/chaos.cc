@@ -446,7 +446,6 @@ ChaosEngine MakeChaosEngine(const ChaosScenario& s, const ChaosOptions& options)
     pc.kernel = ScenarioKernelConfig(s, options);
     pc.trace_enabled = true;  // trace ids are the checker's message identity
     pc.metrics_enabled = true;
-    pc.flight_recorder_enabled = options.collect_flight;
     // Conservative sync always on: the checker's ordering invariants and the
     // migration watchdogs only mean anything when no shard can receive a
     // frame in its virtual past.  The scenario's propagation delay doubles as
@@ -475,11 +474,10 @@ ChaosEngine MakeChaosEngine(const ChaosScenario& s, const ChaosOptions& options)
   // it.  Permanent-death scenarios set a finite budget instead.
   cc.reliable.max_retries = s.max_retries;
   cc.kernel = ScenarioKernelConfig(s, options);
-  cc.trace_enabled = true;  // trace ids are the checker's message identity
-  // Flight recorders: one per kernel plus the harness slot (index
-  // s.machines) for the reliable channel and the checker verdict, stamped
-  // with the virtual clock so a replayed seed produces a byte-identical dump.
-  cc.flight_recorder_enabled = options.collect_flight;
+  // Trace ids are the checker's message identity.  Tracing also builds the
+  // flight recorders: one per kernel plus the harness slot (index
+  // s.machines) for the checker verdict.
+  cc.trace_enabled = true;
   out.sequential = std::make_unique<Cluster>(cc);
   out.faults = std::make_unique<CrashController>(out.sequential.get());
   out.engine = out.sequential.get();
@@ -683,7 +681,12 @@ ChaosResult RunScenario(const ChaosScenario& s, const ChaosOptions& options) {
     }
   }
 
-  // ---- Audit (the engine is settled; shard threads, if any, are parked). ----
+  // ---- Audit.  The engine is settled; stop the shard threads, if any, so the
+  // verdict record and the merge below are the recorders' only accessors
+  // (a parked shard still wakes every idle_park and records). ----
+  if (harness.parallel) {
+    harness.parallel->Stop();
+  }
   for (const ChaosScenario::DeathEvent& ev : s.deaths) {
     checker.MarkMachineDead(static_cast<MachineId>(ev.machine));
   }
@@ -692,9 +695,6 @@ ChaosResult RunScenario(const ChaosScenario& s, const ChaosOptions& options) {
   result.messages_tracked = checker.tracked_messages();
   result.suspect_trace_ids = checker.suspect_trace_ids();
   result.suspect_pids = checker.suspect_pids();
-  if (options.collect_trace) {
-    result.trace = engine.TotalTrace().events();
-  }
   if (FlightRecorderHub* flight = options.collect_flight ? engine.flight_recorder() : nullptr) {
     if (!result.violations.empty()) {
       // Mark the verdict in the harness slot, then latch; if a watchdog
@@ -718,7 +718,6 @@ MinimizeResult MinimizeScenario(const ChaosScenario& failing, const ChaosOptions
   result.scenario = failing;
 
   ChaosOptions quiet = options;
-  quiet.collect_trace = false;
   quiet.collect_flight = false;
   auto still_fails = [&](const ChaosScenario& candidate) {
     ++result.runs;

@@ -20,7 +20,6 @@
 
 #include "src/check/invariants.h"
 #include "src/obs/flight_recorder.h"
-#include "src/obs/trace.h"
 #include "src/sim/event_queue.h"
 
 namespace demos {
@@ -166,9 +165,10 @@ enum class ChaosEngineKind {
 
 struct ChaosOptions {
   ChaosEngineKind engine = ChaosEngineKind::kSequential;
-  bool collect_trace = true;
-  // Run every kernel with an attached flight recorder (virtual-clock stamped,
-  // so dumps are deterministic) and carry the merged window in the result.
+  // Carry the merged flight-recorder timeline in the result.  Scenarios
+  // always run traced (trace ids are the checker's message identity), so
+  // the recorders keep the whole run; in the sequential engine they are
+  // stamped with the virtual clock, so a replayed seed dumps identically.
   bool collect_flight = true;
   // Fault injection threaded into every kernel (KernelConfig::forward_fault).
   std::function<void(Message&)> forward_fault;
@@ -181,8 +181,7 @@ struct ChaosResult {
   int probe_rounds = 0;           // rounds until convergence
   std::size_t events_executed = 0;
   std::uint64_t messages_tracked = 0;
-  std::vector<TraceEvent> trace;  // full cluster timeline (collect_trace)
-  // Merged flight-recorder window (collect_flight) and the latched dump
+  // Merged flight-recorder timeline (collect_flight) and the latched dump
   // reason: the first of watchdog adopt/cancel/reap or "invariant failure".
   // Null trigger = nothing went wrong.
   std::vector<FlightRecord> flight;

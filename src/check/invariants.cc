@@ -688,6 +688,15 @@ std::vector<Violation> ClusterChecker::CheckAtQuiescence() {
       }
       return a.detail < b.detail;
     });
+    // Trimmed traces keep a message by its trace id alone, so a suspect
+    // process brings along every tracked message addressed to it.
+    const std::unordered_set<ProcessId, ProcessIdHash> pids(suspect_pids_.begin(),
+                                                            suspect_pids_.end());
+    for (const auto& [trace_id, st] : tracked_) {
+      if (pids.count(st.receiver) != 0) {
+        suspect_ids_.push_back(trace_id);
+      }
+    }
     std::sort(suspect_ids_.begin(), suspect_ids_.end());
     suspect_ids_.erase(std::unique(suspect_ids_.begin(), suspect_ids_.end()), suspect_ids_.end());
     std::sort(suspect_pids_.begin(), suspect_pids_.end());

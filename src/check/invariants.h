@@ -135,7 +135,8 @@ class ClusterChecker : public KernelObserver {
   std::vector<Violation> CheckAtQuiescence();
 
   // Correlation ids / pids implicated by recorded violations, for trace
-  // trimming (FilterTrace).
+  // trimming (FilterTrace).  The ids include every tracked message addressed
+  // to a suspect pid.
   const std::vector<std::uint64_t>& suspect_trace_ids() const { return suspect_ids_; }
   const std::vector<ProcessId>& suspect_pids() const { return suspect_pids_; }
 

@@ -33,14 +33,15 @@ struct ClusterConfig {
   bool reliable_layer = false;
   ReliableConfig reliable;
 
-  // Single authoritative tracing switch.  The per-layer tracers (kernels,
-  // network, and the reliable channel if present) have no config flags of
-  // their own; Cluster enables each one from this setting.
+  // Single authoritative tracing switch: kernels stamp message trace ids,
+  // and every layer (kernels, network, reliable channel) records into a
+  // flight-recorder hub that keeps the whole run.
   bool trace_enabled = false;
   // Metrics slabs + flight recorder (src/obs), per the engines' shared
-  // machines+1 slot convention (slot `machines` = harness: the shared event
-  // queue and the reliable channel).  Off by default here -- the sequential
-  // engine predates them and most deterministic tests never look -- but any
+  // machines+1 slot convention (slot i = machine i's kernel plus the network
+  // events it transmits; slot `machines` = harness: the shared event queue
+  // and the checker verdict).  Off by default here -- the sequential engine
+  // predates them and most deterministic tests never look -- but any
   // Engine-generic harness can flip them on for either engine.
   bool metrics_enabled = false;
   bool flight_recorder_enabled = false;
@@ -70,17 +71,12 @@ class Cluster final : public Engine {
       queue_.SetMetrics(&metrics_->shard(config.machines));
     }
     network_ = std::make_unique<SimNetwork>(&queue_, config.network);
+    network_->SetFlightRecorder(flight_.get());
     Transport* transport = network_.get();
-    if (config.trace_enabled) {
-      network_->tracer().Enable();
-    }
     if (config.reliable_layer) {
       reliable_ = std::make_unique<ReliableTransport>(&queue_, network_.get(), config.reliable);
+      reliable_->SetFlightRecorder(flight_.get());
       transport = reliable_.get();
-      if (config.trace_enabled) {
-        reliable_->tracer().Enable();
-      }
-      reliable_->SetFlightRecorder(flight_ ? &flight_->recorder(config.machines) : nullptr);
     }
     kernels_.reserve(static_cast<std::size_t>(config.machines));
     for (int i = 0; i < config.machines; ++i) {
@@ -141,17 +137,6 @@ class Cluster final : public Engine {
     return queue_.RunUntilIdle(max_events);
   }
   std::size_t RunFor(SimDuration duration) { return queue_.RunFor(duration); }
-
-  // Extends the kernel-tracer merge with the layers only this engine has.
-  Tracer TotalTrace() const override {
-    Tracer total = Engine::TotalTrace();
-    total.Merge(network_->tracer());
-    if (reliable_) {
-      total.Merge(reliable_->tracer());
-    }
-    total.SortByTime();
-    return total;
-  }
 
  private:
   ClusterConfig config_;

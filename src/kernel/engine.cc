@@ -7,8 +7,10 @@ EngineObservability MakeObservability(const EngineConfig& core) {
   if (core.metrics_enabled) {
     obs.metrics = std::make_unique<MetricsEngine>(core.machines + 1);
   }
-  if (core.flight_recorder_enabled) {
-    obs.flight = std::make_unique<FlightRecorderHub>(core.machines + 1, core.flight_capacity);
+  if (core.flight_recorder_enabled || core.trace_enabled) {
+    // Tracing keeps the whole run: the recorders grow instead of wrapping.
+    obs.flight = std::make_unique<FlightRecorderHub>(core.machines + 1, core.flight_capacity,
+                                                     /*retain_all=*/core.trace_enabled);
   }
   return obs;
 }
@@ -25,7 +27,7 @@ KernelConfig DeriveKernelConfig(const EngineConfig& core, int machine) {
 void WireKernelObservability(const EngineConfig& core, Kernel& kernel,
                              FlightRecorderHub* flight, int slot) {
   if (core.trace_enabled) {
-    kernel.tracer().Enable();
+    kernel.EnableTraceIds();
   }
   if (flight != nullptr && slot < flight->shards()) {
     kernel.SetFlightRecorder(&flight->recorder(slot));
@@ -67,15 +69,6 @@ MetricsSnapshot Engine::BuildSnapshot() const {
   MetricsSnapshot snap = demos::BuildSnapshot(metrics(), KernelStats());
   snap.kernel_total.Merge(TransportStats());
   return snap;
-}
-
-Tracer Engine::TotalTrace() const {
-  Tracer total;
-  for (MachineId m = 0; m < static_cast<MachineId>(size()); ++m) {
-    total.Merge(kernel(m).tracer());
-  }
-  total.SortByTime();
-  return total;
 }
 
 ProcessRecord* Engine::FindProcessAnywhere(const ProcessId& pid) {

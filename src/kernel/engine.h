@@ -34,7 +34,6 @@
 #include "src/kernel/kernel.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/sim/event_queue.h"
 
 namespace demos {
@@ -47,6 +46,8 @@ namespace demos {
 struct EngineConfig {
   int machines = 2;
   KernelConfig kernel;
+  // Tracing: message trace ids on, and a flight-recorder hub whose
+  // recorders keep every record (see flight_recorder_enabled for the ring).
   bool trace_enabled = false;
   bool metrics_enabled = false;
   bool flight_recorder_enabled = false;
@@ -68,8 +69,9 @@ EngineObservability MakeObservability(const EngineConfig& core);
 // skew both engines apply (identical staging => identical kernel state).
 KernelConfig DeriveKernelConfig(const EngineConfig& core, int machine);
 
-// Per-kernel wiring both engines repeat after constructing a kernel: tracer
-// enable and flight-recorder attach for the kernel's slot.
+// Per-kernel wiring both engines repeat after constructing a kernel: trace
+// ids on when tracing, and flight-recorder attach for the kernel's slot (a
+// null hub only skips the attach).
 void WireKernelObservability(const EngineConfig& core, Kernel& kernel,
                              FlightRecorderHub* flight, int slot);
 
@@ -106,7 +108,9 @@ class Engine {
   // one (take effect by the next RunUntilSettled).
   virtual void Execute(MachineId m, std::function<void()> fn) = 0;
 
-  // Observability backends; null when disabled by config.
+  // Observability backends; null when disabled by config.  The flight
+  // recorder is also the trace: with tracing on, Merged() is the whole
+  // run's event timeline (src/obs/trace_export.h analyses it).
   virtual MetricsEngine* metrics() const = 0;
   virtual FlightRecorderHub* flight_recorder() = 0;
 
@@ -132,11 +136,6 @@ class Engine {
   // One demos-metrics-v1 snapshot: engine metrics + kernel counters, with
   // the transport counters added to the kernel total.
   MetricsSnapshot BuildSnapshot() const;
-
-  // Merge every layer's trace events into one time-sorted cluster timeline.
-  // The default merges the kernel tracers; engines with more traced layers
-  // (the sequential network/reliable stack) override and extend it.
-  virtual Tracer TotalTrace() const;
 
   // Locate a process record anywhere in the cluster (test helper).
   ProcessRecord* FindProcessAnywhere(const ProcessId& pid);

@@ -17,8 +17,7 @@ Kernel::Kernel(MachineId machine, EventQueue* queue, Transport* transport, Kerne
       queue_(*queue),
       transport_(transport),
       config_(config),
-      rng_(config.seed ^ (0x9E3779B9ull * (machine + 1))),
-      tracer_(machine) {
+      rng_(config.seed ^ (0x9E3779B9ull * (machine + 1))) {
   transport_->Attach(machine_, [this](MachineId src, PayloadRef wire) {
     OnWireDelivery(src, std::move(wire));
   });
@@ -138,20 +137,19 @@ void Kernel::Transmit(Message msg) {
     stats_.Add(StatId::kAdminBytes, static_cast<std::int64_t>(msg.payload.size()));
     stats_.Observe(HistId::kAdminPayloadBytes, msg.payload.size());
   }
-  if (tracer_.enabled()) {
+  if (trace_ids_ && msg.trace_id == 0) {
     // First transmission stamps the lifecycle id; forwarded and bounced
     // messages keep the id they were born with.
-    if (msg.trace_id == 0) {
-      msg.trace_id = tracer_.NextMessageTraceId();
-      TraceMessage(trace::kMsgSend, msg, static_cast<std::uint64_t>(msg.type), msg.WireSize());
-      if (msg.type == MsgType::kMigrateRequest) {
-        // Step 1 of Sec. 3.1 starts here, on the requester's kernel.
-        TraceMigration(trace::kRequestSent, msg.receiver.pid,
-                       static_cast<std::uint64_t>(msg.receiver.last_known_machine));
-      }
-      if (observer_ != nullptr) {
-        observer_->OnMessageSend(machine_, msg);
-      }
+    msg.trace_id = NextTraceId();
+    RecordEvent(FrEvent::kMsgSend, msg.trace_id, static_cast<std::uint64_t>(msg.type),
+                msg.WireSize());
+    if (msg.type == MsgType::kMigrateRequest) {
+      // Step 1 of Sec. 3.1 starts here, on the requester's kernel.
+      RecordEvent(FrEvent::kRequestSent, MigrationSpanId(msg.receiver.pid),
+                  msg.receiver.last_known_machine);
+    }
+    if (observer_ != nullptr) {
+      observer_->OnMessageSend(machine_, msg);
     }
   }
   const MachineId dst = msg.receiver.last_known_machine;
@@ -318,7 +316,7 @@ void Kernel::DeliverToProcess(ProcessRecord& record, Message msg) {
     // collapse to length one under traffic).
     EmitChainCollapse(msg);
   }
-  TraceMessage(trace::kMsgDeliver, msg, msg.hop_count);
+  RecordEvent(FrEvent::kMsgDeliver, msg.trace_id, msg.hop_count);
   EnqueueLocal(record, std::move(msg));
   MaybeScheduleDispatch(record);
 }

@@ -181,17 +181,21 @@ class Kernel {
   // Attach a passive monitor (invariant checker).  Not owned; null detaches.
   void SetObserver(KernelObserver* observer) { observer_ = observer; }
   // Attach this kernel's shard-local flight recorder (src/obs).  Not owned;
-  // null detaches.  Migration state-machine edges, watchdog verdicts, and
-  // suspect-list updates land in it; everything is recorded from this
-  // kernel's own thread, preserving the recorder's single-writer contract.
+  // null detaches.  The Sec. 3.1 protocol steps, watchdog verdicts,
+  // addressing events and (for traced messages) message lifecycles land in
+  // it; everything is recorded from this kernel's own thread, preserving the
+  // recorder's single-writer contract.
   void SetFlightRecorder(FlightRecorder* flight) { flight_ = flight; }
+  // Stamp a trace id into every message on first transmission and report it
+  // to the observer (OnMessageSend): the message identity of the invariant
+  // checker and of the message-lifecycle events.  Off by default, so
+  // untraced runs stay byte-identical.
+  void EnableTraceIds() { trace_ids_ = true; }
   EventQueue& queue() { return queue_; }
   Rng& rng() { return rng_; }
   const KernelConfig& config() const { return config_; }
   StatsRegistry& stats() { return stats_; }
   const StatsRegistry& stats() const { return stats_; }
-  Tracer& tracer() { return tracer_; }
-  const Tracer& tracer() const { return tracer_; }
 
   // ---- Harness-level services (used by tests, benches, system bring-up). ----
 
@@ -433,7 +437,7 @@ class Kernel {
   // per migration attempt; stale events (attempt mismatch) are no-ops.
   void ArmSourceWatchdog(const ProcessId& pid, std::uint32_t attempt, SimDuration delay);
   void ArmDestWatchdog(const ProcessId& pid, std::uint32_t attempt, SimDuration delay);
-  void TimeoutMigrationAtSource(const ProcessId& pid);
+  void TimeoutMigrationAtSource(const ProcessId& pid, SimDuration deadline);
   // Discard a partially assembled (or orphaned-but-assembled) image at the
   // destination; held messages are re-routed back toward the source.
   void ReapMigrationDest(const ProcessId& pid, const char* why);
@@ -493,31 +497,16 @@ class Kernel {
   // account it as one of the Sec. 6 administrative messages.
   void SendAdmin(const ProcessAddress& to, MsgType type, Bytes payload);
 
-  // ---- Trace points (src/obs; no-ops when tracing is disabled). ----
-  void TraceMigration(const char* name, const ProcessId& pid, std::uint64_t arg0 = 0,
-                      std::uint64_t arg1 = 0) {
-    if (tracer_.enabled()) {
-      tracer_.Instant(queue_.Now(), trace::kMigration, name, MigrationSpanId(pid), pid, arg0,
-                      arg1);
-    }
-  }
-  void TraceMessage(const char* name, const Message& msg, std::uint64_t arg0 = 0,
-                    std::uint64_t arg1 = 0) {
-    if (tracer_.enabled() && msg.trace_id != 0) {
-      tracer_.Instant(queue_.Now(), trace::kMessage, name, msg.trace_id, msg.receiver.pid, arg0,
-                      arg1);
-    }
-  }
+  // Fresh message trace id, unique cluster-wide (namespaced by machine).
+  std::uint64_t NextTraceId() { return ((std::uint64_t{machine_} + 1) << 40) | next_trace_id_++; }
 
-  // ---- Flight-recorder points (src/obs; no-ops when detached). ----
-  void FlightRecord(FrEvent type, std::uint64_t a = 0, std::uint64_t b = 0) {
-    if (flight_ != nullptr) {
-      flight_->Record(type, a, b);
+  // ---- Event recording (src/obs; a no-op with no recorder attached). ----
+  // `id` is the subject: MigrationSpanId(pid) or the message trace id.
+  // Message-lifecycle events exist only for messages that carry a trace id.
+  void RecordEvent(FrEvent type, std::uint64_t id, std::uint64_t a = 0, std::uint64_t b = 0) {
+    if (flight_ != nullptr && (id != 0 || FrCategoryOf(type) != FrCategory::kMessage)) {
+      flight_->Record(type, a, b, id);
     }
-  }
-  void FlightMigration(FrMigrationEdge edge, const ProcessId& pid) {
-    FlightRecord(FrEvent::kMigrationPhase, static_cast<std::uint64_t>(edge),
-                 MigrationSpanId(pid));
   }
 
   MachineId machine_;
@@ -526,7 +515,8 @@ class Kernel {
   KernelConfig config_;
   Rng rng_;
   StatsRegistry stats_;
-  Tracer tracer_;
+  bool trace_ids_ = false;
+  std::uint64_t next_trace_id_ = 1;
 
   ProcessTable processes_;
   std::uint32_t next_local_id_ = 1;  // 0 is the kernel pseudo-process

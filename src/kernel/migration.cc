@@ -90,8 +90,7 @@ void Kernel::HandleMigrateRequest(ProcessRecord& record, const Message& msg) {
   // Any batched push acks for writes already applied here must go out first so
   // the instigator's byte accounting stays exact across the snapshot.
   FlushPushAcksFor(pid);
-  TraceMigration(trace::kMigrationBegin, pid, destination);
-  FlightMigration(FrMigrationEdge::kStart, pid);
+  RecordEvent(FrEvent::kMigrationBegin, MigrationSpanId(pid), destination);
   MigrationSource source;
   source.requester = requester;
   source.destination = destination;
@@ -127,8 +126,8 @@ void Kernel::HandleMigrateRequest(ProcessRecord& record, const Message& msg) {
   offer.U32(static_cast<std::uint32_t>(source.swappable.size()));
   offer.U32(static_cast<std::uint32_t>(source.image.size()));
   offer.U32(source.attempt);
-  TraceMigration(trace::kOfferSent, pid, destination,
-                 source.resident.size() + source.swappable.size() + source.image.size());
+  RecordEvent(FrEvent::kOfferSent, MigrationSpanId(pid), destination,
+              source.resident.size() + source.swappable.size() + source.image.size());
   SendAdmin(KernelAddress(destination), MsgType::kMigrateOffer, offer.Take());
 
   const std::uint32_t attempt = source.attempt;
@@ -153,10 +152,8 @@ void Kernel::HandleMigrateOffer(const Message& msg) {
   offer.swappable_bytes = r.U32();
   offer.memory_bytes = r.U32();
   const std::uint32_t attempt = r.U32();
-  TraceMigration(trace::kOfferReceived, offer.pid, offer.source,
-                 std::uint64_t{offer.resident_bytes} + offer.swappable_bytes +
-                     offer.memory_bytes);
-  FlightMigration(FrMigrationEdge::kOfferRecv, offer.pid);
+  RecordEvent(FrEvent::kOfferReceived, MigrationSpanId(offer.pid), offer.source,
+              std::uint64_t{offer.resident_bytes} + offer.swappable_bytes + offer.memory_bytes);
 
   auto dit = migration_dests_.find(offer.pid);
   if (dit != migration_dests_.end()) {
@@ -188,7 +185,8 @@ void Kernel::HandleMigrateOffer(const Message& msg) {
     const StatusCode code = out_of_memory ? StatusCode::kExhausted : StatusCode::kRefused;
     reject.U8(static_cast<std::uint8_t>(code));
     reject.U32(attempt);
-    TraceMigration(trace::kRejectSent, offer.pid, static_cast<std::uint64_t>(code));
+    RecordEvent(FrEvent::kRejectSent, MigrationSpanId(offer.pid),
+                static_cast<std::uint64_t>(code));
     SendAdmin(KernelAddress(offer.source), MsgType::kMigrateReject, reject.Take());
     return;
   }
@@ -220,7 +218,7 @@ void Kernel::HandleMigrateOffer(const Message& msg) {
   ByteWriter accept;
   accept.Pid(offer.pid);
   accept.U32(attempt);
-  TraceMigration(trace::kAcceptSent, offer.pid);
+  RecordEvent(FrEvent::kAcceptSent, MigrationSpanId(offer.pid));
   SendAdmin(KernelAddress(offer.source), MsgType::kMigrateAccept, accept.Take());
 
   // Steps 4-5: pull the three sections with the move-data facility.
@@ -240,7 +238,8 @@ void Kernel::HandleMigrateOffer(const Message& msg) {
     req.U8(static_cast<std::uint8_t>(section));
     req.U32(transfer_id);
     req.U32(attempt);
-    TraceMigration(trace::kPullRequested, offer.pid, static_cast<std::uint64_t>(section));
+    RecordEvent(FrEvent::kPullRequested, MigrationSpanId(offer.pid),
+                static_cast<std::uint64_t>(section));
     SendAdmin(KernelAddress(offer.source), MsgType::kMoveDataReq, req.Take());
   }
 }
@@ -256,8 +255,7 @@ void Kernel::HandleMigrateAccept(const Message& msg) {
   }
   it->second.accepted = true;
   it->second.last_progress = queue_.Now();
-  TraceMigration(trace::kAcceptReceived, pid);
-  FlightMigration(FrMigrationEdge::kAccepted, pid);
+  RecordEvent(FrEvent::kAcceptReceived, MigrationSpanId(pid));
   if (config_.migration_deadlines.offer_accept_us == 0) {
     // No offer-phase chain is running; start the transfer-phase one.
     ArmSourceWatchdog(pid, attempt, config_.migration_deadlines.transfer_progress_us);
@@ -300,8 +298,8 @@ void Kernel::AbortMigrationAtSource(const ProcessId& pid, Status why) {
     MaybeScheduleDispatch(*record);
   }
   stats_.Add(StatId::kMigrationsRefused);
-  TraceMigration(trace::kMigrationAborted, pid, static_cast<std::uint64_t>(why.code()));
-  FlightMigration(FrMigrationEdge::kAborted, pid);
+  RecordEvent(FrEvent::kMigrationAborted, MigrationSpanId(pid),
+              static_cast<std::uint64_t>(why.code()));
   if (observer_ != nullptr) {
     observer_->OnMigrationAborted(machine_, pid);
   }
@@ -348,8 +346,8 @@ void Kernel::HandleMoveDataReq(const Message& msg) {
   if (bytes == nullptr) {
     return;
   }
-  TraceMigration(trace::kSectionStreamed, pid, static_cast<std::uint64_t>(section),
-                 bytes->size());
+  RecordEvent(FrEvent::kSectionStreamed, MigrationSpanId(pid),
+              static_cast<std::uint64_t>(section), bytes->size());
   DataPacket prototype;
   prototype.mode = StreamMode::kPull;
   prototype.transfer_id = transfer_id;
@@ -370,8 +368,8 @@ void Kernel::OnMigrationSectionReceived(const ProcessId& pid, MigrationSection s
   }
   MigrationDest& dest = it->second;
   dest.last_progress = queue_.Now();
-  TraceMigration(trace::kSectionReceived, pid, static_cast<std::uint64_t>(section),
-                 bytes.size());
+  RecordEvent(FrEvent::kSectionReceived, MigrationSpanId(pid),
+              static_cast<std::uint64_t>(section), bytes.size());
   if (observer_ != nullptr) {
     observer_->OnMigrationSection(machine_, pid, section, bytes);
   }
@@ -445,7 +443,7 @@ void Kernel::OnMigrationSectionReceived(const ProcessId& pid, MigrationSection s
   ByteWriter w;
   w.Pid(pid);
   w.U32(dest.attempt);
-  TraceMigration(trace::kTransferDoneSent, pid);
+  RecordEvent(FrEvent::kTransferDoneSent, MigrationSpanId(pid));
   SendAdmin(KernelAddress(dest.source), MsgType::kTransferComplete, w.Take());
 }
 
@@ -480,8 +478,7 @@ void Kernel::FinishMigrationAtSource(const ProcessId& pid) {
   if (record == nullptr) {
     return;
   }
-  TraceMigration(trace::kTransferDoneReceived, pid);
-  FlightMigration(FrMigrationEdge::kTransferDone, pid);
+  RecordEvent(FrEvent::kTransferDoneReceived, MigrationSpanId(pid));
 
   // Reclamation peer seeding: every sender with a message queued here may
   // hold a stale link to this machine, so the forwarding record about to be
@@ -515,7 +512,7 @@ void Kernel::FinishMigrationAtSource(const ProcessId& pid) {
     }
     Transmit(std::move(pending));
   }
-  TraceMigration(trace::kPendingForwarded, pid, pending_count);
+  RecordEvent(FrEvent::kPendingForwarded, MigrationSpanId(pid), pending_count);
 
   // Step 7: reclaim all state; leave a forwarding address (8 bytes: the
   // degenerate process record of Sec. 4) -- or nothing at all in the
@@ -543,7 +540,7 @@ void Kernel::FinishMigrationAtSource(const ProcessId& pid) {
   if (config_.delivery_mode == KernelConfig::DeliveryMode::kForwarding) {
     InstallForwardingRecord(pid, source.destination, next_version, std::move(stale_peers));
     stats_.Add(StatId::kForwardingAddresses);
-    TraceMigration(trace::kForwardingInstalled, pid, source.destination);
+    RecordEvent(FrEvent::kForwardingInstalled, MigrationSpanId(pid), source.destination);
   } else {
     processes_.Erase(pid);
   }
@@ -556,7 +553,7 @@ void Kernel::FinishMigrationAtSource(const ProcessId& pid) {
   ByteWriter done;
   done.Pid(pid);
   done.U32(source.attempt);
-  TraceMigration(trace::kCleanupSent, pid);
+  RecordEvent(FrEvent::kCleanupSent, MigrationSpanId(pid));
   SendAdmin(KernelAddress(source.destination), MsgType::kCleanupDone, done.Take());
   SendMigrateDone(source.requester, pid, source.destination, StatusCode::kOk);
   DEMOS_LOG(kInfo, "migrate") << "m" << machine_ << ": " << pid.ToString() << " moved to m"
@@ -593,7 +590,6 @@ void Kernel::HandleCleanupDone(const Message& msg) {
     stats_.Add(StatId::kStaleMigrationMsgs);
     return;
   }
-  FlightMigration(FrMigrationEdge::kCleanupDone, pid);
   RestartMigratedProcess(pid);
 }
 
@@ -634,8 +630,8 @@ void Kernel::RestartMigratedProcess(const ProcessId& pid) {
     SendFromKernel(KernelAddress(pid.creating_machine), MsgType::kLocationRegister, w.Take());
   }
   stats_.Add(StatId::kMigrations);
-  TraceMigration(trace::kRestarted, pid, static_cast<std::uint64_t>(record->state));
-  FlightMigration(FrMigrationEdge::kRestarted, pid);
+  RecordEvent(FrEvent::kRestarted, MigrationSpanId(pid),
+              static_cast<std::uint64_t>(record->state));
   if (observer_ != nullptr) {
     observer_->OnMigrationRestart(machine_, pid, *record);
   }
@@ -678,7 +674,7 @@ void Kernel::ArmSourceWatchdog(const ProcessId& pid, std::uint32_t attempt, SimD
       ArmSourceWatchdog(pid, attempt, due - queue_.Now());
       return;
     }
-    TimeoutMigrationAtSource(pid);
+    TimeoutMigrationAtSource(pid, deadline);
   });
 }
 
@@ -708,8 +704,7 @@ void Kernel::ArmDestWatchdog(const ProcessId& pid, std::uint32_t attempt, SimDur
     }
     const MachineId source_machine = dest.source;
     const bool assembled = dest.assembled;
-    TraceMigration(trace::kWatchdogTimeout, pid, deadline);
-    FlightRecord(FrEvent::kWatchdogFired, deadline, MigrationSpanId(pid));
+    RecordEvent(FrEvent::kWatchdogTimeout, MigrationSpanId(pid), deadline, source_machine);
     SuspectPeer(source_machine);
     if (assembled) {
       // Handoff silence after a complete transfer: a live source -- even one
@@ -718,8 +713,7 @@ void Kernel::ArmDestWatchdog(const ProcessId& pid, std::uint32_t attempt, SimDur
       // kernel holds the only complete copy.  Adopt it: restart locally.
       // (Sec. 1's crash-migration scenario, driven by the watchdog.)
       stats_.Add(StatId::kMigrationsAdopted);
-      TraceMigration(trace::kDestAdopted, pid, source_machine);
-      FlightRecord(FrEvent::kAdopt, source_machine, MigrationSpanId(pid));
+      RecordEvent(FrEvent::kDestAdopted, MigrationSpanId(pid), source_machine);
       if (flight_ != nullptr) {
         flight_->Trigger("watchdog adopt");
       }
@@ -733,7 +727,7 @@ void Kernel::ArmDestWatchdog(const ProcessId& pid, std::uint32_t attempt, SimDur
   });
 }
 
-void Kernel::TimeoutMigrationAtSource(const ProcessId& pid) {
+void Kernel::TimeoutMigrationAtSource(const ProcessId& pid, SimDuration deadline) {
   auto it = migration_sources_.find(pid);
   if (it == migration_sources_.end()) {
     return;
@@ -741,16 +735,14 @@ void Kernel::TimeoutMigrationAtSource(const ProcessId& pid) {
   const MachineId destination = it->second.destination;
   const std::uint32_t attempt = it->second.attempt;
   stats_.Add(StatId::kMigrationsTimedOut);
-  TraceMigration(trace::kWatchdogTimeout, pid, destination);
-  FlightRecord(FrEvent::kWatchdogFired, 0, MigrationSpanId(pid));
+  RecordEvent(FrEvent::kWatchdogTimeout, MigrationSpanId(pid), deadline, destination);
   SuspectPeer(destination);
   // Tell the destination -- if it ever comes back -- to discard the partial
   // image; the attempt epoch makes a late or duplicate cancel a no-op.
   ByteWriter w;
   w.Pid(pid);
   w.U32(attempt);
-  TraceMigration(trace::kCancelSent, pid, destination);
-  FlightRecord(FrEvent::kCancel, destination, MigrationSpanId(pid));
+  RecordEvent(FrEvent::kCancelSent, MigrationSpanId(pid), destination);
   if (flight_ != nullptr) {
     flight_->Trigger("watchdog cancel");
   }
@@ -768,8 +760,7 @@ void Kernel::HandleMigrateCancel(const Message& msg) {
     stats_.Add(StatId::kStaleMigrationMsgs);
     return;
   }
-  TraceMigration(trace::kCancelReceived, pid, it->second.source);
-  FlightMigration(FrMigrationEdge::kCancelRecv, pid);
+  RecordEvent(FrEvent::kCancelReceived, MigrationSpanId(pid), it->second.source);
   ReapMigrationDest(pid, "cancelled by the source");
 }
 
@@ -813,8 +804,7 @@ void Kernel::ReapMigrationDest(const ProcessId& pid, const char* why) {
     processes_.Erase(pid);
   }
   stats_.Add(StatId::kMigrationsReaped);
-  TraceMigration(trace::kDestReaped, pid, dest.source);
-  FlightRecord(FrEvent::kReap, dest.source, MigrationSpanId(pid));
+  RecordEvent(FrEvent::kDestReaped, MigrationSpanId(pid), dest.source);
   if (flight_ != nullptr) {
     flight_->Trigger("migration reap");
   }
@@ -856,11 +846,7 @@ void Kernel::SuspectPeer(MachineId peer) {
   const SimTime until = queue_.Now() + (config_.suspect_backoff_us << shift);
   suspicion.until = std::max(suspicion.until, until);
   stats_.Add(StatId::kPeersSuspected);
-  FlightRecord(FrEvent::kSuspect, peer, suspicion.strikes);
-  if (tracer_.enabled()) {
-    tracer_.Instant(queue_.Now(), trace::kMigration, trace::kPeerSuspected, peer, ProcessId{},
-                    peer, suspicion.until);
-  }
+  RecordEvent(FrEvent::kPeerSuspected, 0, peer, suspicion.strikes);
   DEMOS_LOG(kInfo, "migrate") << "m" << machine_ << ": suspecting m" << peer
                               << " (strike " << suspicion.strikes << ")";
 }
@@ -878,7 +864,7 @@ void Kernel::ForwardThroughAddress(Message msg, MachineId next_machine) {
   stats_.Add(StatId::kMsgsForwarded);
   msg.hop_count++;
   msg.RecordVia(machine_);  // the collapse trail: every record this crossed
-  TraceMessage(trace::kMsgForward, msg, msg.hop_count, next_machine);
+  RecordEvent(FrEvent::kMsgForward, msg.trace_id, msg.hop_count, next_machine);
 
   const ProcessAddress original_sender = msg.sender;
   const ProcessId migrated = msg.receiver.pid;
@@ -918,12 +904,11 @@ void Kernel::SendLinkUpdate(const ProcessAddress& original_sender, const Process
   update.flags = kLinkDeliverToKernel;
   update.type = MsgType::kLinkUpdate;
   update.payload = w.Take();
-  if (tracer_.enabled()) {
+  if (trace_ids_) {
     // Pre-stamp the trace id so the send and the eventual apply (at the
     // sender's kernel) pair up into the link-update-lag histogram.
-    update.trace_id = tracer_.NextMessageTraceId();
-    tracer_.Instant(queue_.Now(), trace::kMessage, trace::kLinkUpdateSent, update.trace_id,
-                    migrated, 0, new_machine);
+    update.trace_id = NextTraceId();
+    RecordEvent(FrEvent::kLinkUpdateSent, update.trace_id, 0, new_machine);
   }
   stats_.Add(StatId::kLinkUpdateMsgs);
   Transmit(std::move(update));
@@ -937,7 +922,7 @@ void Kernel::HandleLinkUpdate(ProcessRecord& record, const Message& msg) {
   if (patched > 0) {
     stats_.Add(StatId::kLinksPatched, patched);
   }
-  TraceMessage(trace::kLinkUpdateApplied, msg, static_cast<std::uint64_t>(patched));
+  RecordEvent(FrEvent::kLinkUpdateApplied, msg.trace_id, static_cast<std::uint64_t>(patched));
   // Ack the forwarder so it can retire this machine from the record's
   // unresolved-peer set (epoch reclamation); without the ack the record lives
   // until the churn-epoch watermark.
@@ -970,7 +955,7 @@ void Kernel::HandleAbsentReceiver(Message msg, MachineId wire_src) {
   }
   if (config_.delivery_mode == KernelConfig::DeliveryMode::kReturnToSender) {
     stats_.Add(StatId::kMsgsBounced);
-    TraceMessage(trace::kMsgBounce, msg, static_cast<std::uint64_t>(msg.type));
+    RecordEvent(FrEvent::kMsgBounce, msg.trace_id, static_cast<std::uint64_t>(msg.type));
     if (observer_ != nullptr) {
       observer_->OnMessageBounce(machine_, msg);
     }
@@ -1011,7 +996,7 @@ void Kernel::HandleAbsentReceiver(Message msg, MachineId wire_src) {
         const ProcessAddress original_sender = msg.sender;
         const MachineId where = it->second.where;
         msg.receiver.last_known_machine = where;
-        TraceMessage(trace::kMsgForward, msg, msg.hop_count, where);
+        RecordEvent(FrEvent::kMsgForward, msg.trace_id, msg.hop_count, where);
         if (observer_ != nullptr) {
           observer_->OnMessageForward(machine_, msg, where);
         }
@@ -1034,7 +1019,7 @@ void Kernel::HandleAbsentReceiver(Message msg, MachineId wire_src) {
   }
 
   stats_.Add(StatId::kMsgsBounced);
-  TraceMessage(trace::kMsgBounce, msg, static_cast<std::uint64_t>(msg.type));
+  RecordEvent(FrEvent::kMsgBounce, msg.trace_id, static_cast<std::uint64_t>(msg.type));
   if (observer_ != nullptr) {
     observer_->OnMessageBounce(machine_, msg);
   }
@@ -1211,7 +1196,7 @@ void Kernel::LocateRetryFired(const ProcessId& pid, std::uint32_t generation) {
   parked.attempts++;
   const MachineId target = PickLocateTarget(parked.attempts, pid);
   stats_.Add(StatId::kLocateRetries);
-  FlightRecord(FrEvent::kLocateRetry, target, parked.attempts);
+  RecordEvent(FrEvent::kLocateRetry, MigrationSpanId(pid), target, parked.attempts);
   ByteWriter w;
   w.Pid(pid);
   SendFromKernel(KernelAddress(target), MsgType::kLocateReq, w.Take());
@@ -1230,7 +1215,7 @@ void Kernel::ReprobeParkedLocates() {
     }
     const MachineId target = PickLocateTarget(parked.attempts, pid);
     stats_.Add(StatId::kLocateRetries);
-    FlightRecord(FrEvent::kLocateRetry, target, parked.attempts);
+    RecordEvent(FrEvent::kLocateRetry, MigrationSpanId(pid), target, parked.attempts);
     ByteWriter w;
     w.Pid(pid);
     SendFromKernel(KernelAddress(target), MsgType::kLocateReq, w.Take());
@@ -1269,7 +1254,8 @@ void Kernel::BounceParkedLocate(const ProcessId& pid) {
   parked_for_locate_.erase(it);
   for (Message& original : msgs) {
     stats_.Add(StatId::kMsgsBounced);
-    TraceMessage(trace::kMsgBounce, original, static_cast<std::uint64_t>(original.type));
+    RecordEvent(FrEvent::kMsgBounce, original.trace_id,
+                static_cast<std::uint64_t>(original.type));
     if (observer_ != nullptr) {
       observer_->OnMessageBounce(machine_, original);
     }
@@ -1401,7 +1387,7 @@ void Kernel::EmitChainCollapse(const Message& msg) {
     if (via == machine_ || via == kNoMachine) {
       continue;
     }
-    FlightRecord(FrEvent::kChainCollapse, via, pid.local_id);
+    RecordEvent(FrEvent::kChainCollapse, MigrationSpanId(pid), via);
     SendChainCollapse(via, pid, machine_, version);
   }
 }
@@ -1581,7 +1567,7 @@ void Kernel::SweepAddressingState() {
   }
 
   if (records_reclaimed != 0 || tombstones_reclaimed != 0) {
-    FlightRecord(FrEvent::kFwdReclaim, records_reclaimed, tombstones_reclaimed);
+    RecordEvent(FrEvent::kFwdReclaim, 0, records_reclaimed, tombstones_reclaimed);
   }
   last_forwarding_sweep_ = now;
 }
@@ -1694,7 +1680,7 @@ void Kernel::FlushGossip() {
   stats_.Add(StatId::kGossipRounds);
   for (MachineId peer : targets) {
     stats_.Add(StatId::kGossipRumors, static_cast<std::int64_t>(triples.size()));
-    FlightRecord(FrEvent::kGossip, peer, triples.size());
+    RecordEvent(FrEvent::kGossip, 0, peer, triples.size());
     SendFromKernel(KernelAddress(peer), MsgType::kGossip, payload);
   }
 }

@@ -55,9 +55,8 @@ void ReliableTransport::ScheduleRetransmit(MachineId src, MachineId dst, std::ui
     if (config_.max_retries != 0 && attempt > config_.max_retries) {
       DEMOS_LOG(kWarn, "rel") << "giving up on frame m" << src << "->m" << dst << " seq " << seq;
       stats_.Add(StatId::kRelGiveUps);
-      TraceFrame(trace::kGiveUp, src, seq, attempt);
       if (flight_ != nullptr) {
-        flight_->Record(FrEvent::kGiveUp, dst, seq);
+        flight_->Record(src, FrEvent::kGiveUp, dst, seq);
       }
       sit->second.unacked.erase(uit);
       if (on_give_up_) {
@@ -66,9 +65,8 @@ void ReliableTransport::ScheduleRetransmit(MachineId src, MachineId dst, std::ui
       return;
     }
     stats_.Add(StatId::kRelRetransmits);
-    TraceFrame(trace::kRetransmit, src, seq, attempt);
     if (flight_ != nullptr) {
-      flight_->Record(FrEvent::kRetransmit, dst, seq);
+      flight_->Record(src, FrEvent::kRetransmit, dst, seq);
     }
     lower_.Send(src, dst, uit->second);
     SimDuration next = timeout * config_.backoff_permille / 1000;

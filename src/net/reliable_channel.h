@@ -20,7 +20,6 @@
 #include "src/base/stats.h"
 #include "src/net/transport.h"
 #include "src/obs/flight_recorder.h"
-#include "src/obs/trace.h"
 #include "src/sim/event_queue.h"
 
 namespace demos {
@@ -46,18 +45,16 @@ class ReliableTransport final : public Transport {
 
   StatsRegistry& stats() { return stats_; }
   const StatsRegistry& stats() const { return stats_; }
-  Tracer& tracer() { return tracer_; }
-  const Tracer& tracer() const { return tracer_; }
 
   // Invoked when a frame from `src` to `dst` exhausts max_retries and is
   // dropped.  The kernel layer uses this as its dead-peer signal.
   using GiveUpHandler = std::function<void(MachineId src, MachineId dst, std::uint64_t seq)>;
   void set_on_give_up(GiveUpHandler handler) { on_give_up_ = std::move(handler); }
 
-  // Optional flight recorder (src/obs).  The channel runs single-threaded on
-  // one EventQueue, so one recorder covers every machine pair; the chaos
-  // harness hands it the hub's harness slot.  Null detaches (default).
-  void SetFlightRecorder(FlightRecorder* flight) { flight_ = flight; }
+  // Optional event recording (src/obs): retransmits and give-ups land in the
+  // sending machine's recorder.  The channel runs single-threaded on one
+  // EventQueue, so it never races the kernels' writes.  Null detaches.
+  void SetFlightRecorder(FlightRecorderHub* flight) { flight_ = flight; }
 
  private:
   struct PairKey {
@@ -89,18 +86,6 @@ class ReliableTransport final : public Transport {
                           SimDuration timeout);
   static PayloadRef EncodeData(std::uint64_t seq, const PayloadRef& payload);
   static PayloadRef EncodeAck(std::uint64_t cumulative);
-  void TraceFrame(const char* name, MachineId src, std::uint64_t seq, std::uint64_t attempt) {
-    if (tracer_.enabled()) {
-      TraceEvent ev;
-      ev.ts = queue_.Now();
-      ev.machine = src;
-      ev.category = trace::kNet;
-      ev.name = name;
-      ev.arg0 = seq;
-      ev.arg1 = attempt;
-      tracer_.RecordEvent(ev);
-    }
-  }
 
   EventQueue& queue_;
   Transport& lower_;
@@ -109,9 +94,8 @@ class ReliableTransport final : public Transport {
   std::unordered_map<PairKey, SenderState, PairKeyHash> senders_;
   std::unordered_map<PairKey, ReceiverState, PairKeyHash> receivers_;
   StatsRegistry stats_;
-  Tracer tracer_;
   GiveUpHandler on_give_up_;
-  FlightRecorder* flight_ = nullptr;
+  FlightRecorderHub* flight_ = nullptr;
 };
 
 }  // namespace demos

@@ -21,19 +21,25 @@ void SimNetwork::Send(MachineId src, MachineId dst, PayloadRef payload) {
 
   if (!IsNodeUp(src) || !IsNodeUp(dst)) {
     stats_.Add(StatId::kNetPacketsDropped);
-    TraceWire(trace::kPacketDropped, src, dst);
+    if (flight_ != nullptr) {
+      flight_->Record(src, FrEvent::kPacketDropped, dst);
+    }
     return;
   }
   if (config_.drop_probability > 0 && rng_.Chance(config_.drop_probability)) {
     stats_.Add(StatId::kNetPacketsDropped);
-    TraceWire(trace::kPacketDropped, src, dst);
+    if (flight_ != nullptr) {
+      flight_->Record(src, FrEvent::kPacketDropped, dst);
+    }
     return;
   }
 
   SimDuration delay = TransmitDelay(payload.size(), src);
   if (config_.duplicate_probability > 0 && rng_.Chance(config_.duplicate_probability)) {
     stats_.Add(StatId::kNetPacketsDuplicated);
-    TraceWire(trace::kPacketDuplicated, src, dst);
+    if (flight_ != nullptr) {
+      flight_->Record(src, FrEvent::kPacketDuplicated, dst);
+    }
     Deliver(src, dst, payload, delay + 1);  // refcount bump, not a byte copy
   }
   Deliver(src, dst, std::move(payload), delay);
@@ -46,7 +52,9 @@ void SimNetwork::Deliver(MachineId src, MachineId dst, PayloadRef payload, SimDu
     // receiver hears nothing.
     if ((src != dst && !IsNodeUp(src)) || !IsNodeUp(dst)) {
       stats_.Add(StatId::kNetPacketsDropped);
-      TraceWire(trace::kPacketDropped, src, dst);
+      if (flight_ != nullptr) {
+        flight_->Record(src, FrEvent::kPacketDropped, dst);
+      }
       return;
     }
     auto it = handlers_.find(dst);

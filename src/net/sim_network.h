@@ -19,7 +19,7 @@
 #include "src/base/rng.h"
 #include "src/base/stats.h"
 #include "src/net/transport.h"
-#include "src/obs/trace.h"
+#include "src/obs/flight_recorder.h"
 #include "src/sim/event_queue.h"
 
 namespace demos {
@@ -62,24 +62,14 @@ class SimNetwork final : public Transport {
 
   StatsRegistry& stats() { return stats_; }
   const StatsRegistry& stats() const { return stats_; }
-  Tracer& tracer() { return tracer_; }
-  const Tracer& tracer() const { return tracer_; }
+  // Optional event recording (src/obs): drops and duplicates land in the
+  // transmitting machine's recorder.  The network runs on the one sequential
+  // EventQueue, so it never races the kernels' writes.  Null detaches.
+  void SetFlightRecorder(FlightRecorderHub* flight) { flight_ = flight; }
 
  private:
   void Deliver(MachineId src, MachineId dst, PayloadRef payload, SimDuration delay);
   SimDuration TransmitDelay(std::size_t payload_size, MachineId src);
-  void TraceWire(const char* name, MachineId src, MachineId dst) {
-    if (tracer_.enabled()) {
-      TraceEvent ev;
-      ev.ts = queue_.Now();
-      ev.machine = src;
-      ev.category = trace::kNet;
-      ev.name = name;
-      ev.arg0 = src;
-      ev.arg1 = dst;
-      tracer_.RecordEvent(ev);
-    }
-  }
 
   EventQueue& queue_;
   SimNetworkConfig config_;
@@ -89,7 +79,7 @@ class SimNetwork final : public Transport {
   // Earliest time each machine's output port is free (serialization model).
   std::unordered_map<MachineId, SimTime> port_free_at_;
   StatsRegistry stats_;
-  Tracer tracer_;
+  FlightRecorderHub* flight_ = nullptr;
 };
 
 }  // namespace demos

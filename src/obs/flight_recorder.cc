@@ -3,86 +3,29 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cinttypes>
+#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <ostream>
 
+#include "src/obs/trace.h"
+
 namespace demos {
 
-const char* FrEventName(FrEvent e) {
-  switch (e) {
-    case FrEvent::kNone:
-      return "none";
-    case FrEvent::kMailboxPush:
-      return "mailbox_push";
-    case FrEvent::kDrainBatch:
-      return "drain_batch";
-    case FrEvent::kSpillEnter:
-      return "spill_enter";
-    case FrEvent::kSpillExit:
-      return "spill_exit";
-    case FrEvent::kBackpressure:
-      return "backpressure";
-    case FrEvent::kParkBegin:
-      return "park_begin";
-    case FrEvent::kParkEnd:
-      return "park_end";
-    case FrEvent::kPostedTask:
-      return "posted_task";
-    case FrEvent::kQuiescenceVote:
-      return "quiescence_vote";
-    case FrEvent::kMigrationPhase:
-      return "migration_phase";
-    case FrEvent::kWatchdogFired:
-      return "watchdog_fired";
-    case FrEvent::kReap:
-      return "reap";
-    case FrEvent::kAdopt:
-      return "adopt";
-    case FrEvent::kCancel:
-      return "cancel";
-    case FrEvent::kSuspect:
-      return "suspect";
-    case FrEvent::kRetransmit:
-      return "retransmit";
-    case FrEvent::kGiveUp:
-      return "give_up";
-    case FrEvent::kInvariantFail:
-      return "invariant_fail";
-    case FrEvent::kLbtsWindow:
-      return "lbts_window";
-    case FrEvent::kChainCollapse:
-      return "chain_collapse";
-    case FrEvent::kFwdReclaim:
-      return "fwd_reclaim";
-    case FrEvent::kGossip:
-      return "gossip";
-    case FrEvent::kLocateRetry:
-      return "locate_retry";
-  }
-  return "unknown";
-}
-
-const char* FrMigrationEdgeName(FrMigrationEdge e) {
-  switch (e) {
-    case FrMigrationEdge::kStart:
-      return "start";
-    case FrMigrationEdge::kOfferRecv:
-      return "offer_recv";
-    case FrMigrationEdge::kAccepted:
-      return "accepted";
-    case FrMigrationEdge::kRejected:
-      return "rejected";
-    case FrMigrationEdge::kTransferDone:
-      return "transfer_done";
-    case FrMigrationEdge::kCleanupDone:
-      return "cleanup_done";
-    case FrMigrationEdge::kRestarted:
-      return "restarted";
-    case FrMigrationEdge::kAborted:
-      return "aborted";
-    case FrMigrationEdge::kCancelRecv:
-      return "cancel_recv";
+const char* FrCategoryName(FrCategory c) {
+  switch (c) {
+    case FrCategory::kRun:
+      return "run";
+    case FrCategory::kAddr:
+      return "addr";
+    case FrCategory::kMigration:
+      return "migration";
+    case FrCategory::kMessage:
+      return "msg";
+    case FrCategory::kNet:
+      return "net";
   }
   return "unknown";
 }
@@ -93,11 +36,20 @@ std::uint64_t FrSteadyClock(void* /*ctx*/) {
                                         .count());
 }
 
-FlightRecorder::FlightRecorder(std::uint16_t shard, std::size_t capacity)
+FlightRecorder::FlightRecorder(std::uint16_t shard, std::size_t capacity, bool retain_all)
     : ring_(std::bit_ceil(capacity < 2 ? std::size_t{2} : capacity)),
       mask_(ring_.size() - 1),
+      grow_at_(retain_all ? ring_.size() : std::numeric_limits<std::uint64_t>::max()),
       clock_(&FrSteadyClock),
       shard_(shard) {}
+
+void FlightRecorder::Grow() {
+  // Retain-all mode never wrapped, so record i sits at index i and the
+  // doubled buffer keeps every position.
+  ring_.resize(ring_.size() * 2);
+  mask_ = ring_.size() - 1;
+  grow_at_ = ring_.size();
+}
 
 std::vector<FlightRecord> FlightRecorder::SnapshotRecords() const {
   std::vector<FlightRecord> out;
@@ -114,11 +66,12 @@ bool FlightRecorder::Trigger(const char* reason) {
   return hub_ != nullptr && hub_->Trigger(reason);
 }
 
-FlightRecorderHub::FlightRecorderHub(int shards, std::size_t capacity_per_shard) {
+FlightRecorderHub::FlightRecorderHub(int shards, std::size_t capacity_per_shard,
+                                     bool retain_all) {
   recorders_.reserve(static_cast<std::size_t>(shards));
   for (int i = 0; i < shards; ++i) {
-    recorders_.push_back(
-        std::make_unique<FlightRecorder>(static_cast<std::uint16_t>(i), capacity_per_shard));
+    recorders_.push_back(std::make_unique<FlightRecorder>(static_cast<std::uint16_t>(i),
+                                                          capacity_per_shard, retain_all));
     recorders_.back()->hub_ = this;
   }
 }
@@ -156,32 +109,28 @@ std::uint64_t FlightRecorderHub::TotalDropped() const {
 }
 
 // ---------------------------------------------------------------------------
-// Dumps.
+// Text dump.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 void WriteOneRecordText(const FlightRecord& r, std::ostream& os) {
-  os << r.t_ns << " s" << r.shard << " #" << r.seq << " " << FrEventName(r.type);
-  switch (r.type) {
-    case FrEvent::kMigrationPhase:
-    case FrEvent::kWatchdogFired:
-      os << " edge=" << FrMigrationEdgeName(static_cast<FrMigrationEdge>(r.a)) << " arg=" << r.b;
-      break;
-    case FrEvent::kMailboxPush:
-    case FrEvent::kBackpressure:
-      os << " dst=s" << r.a;
-      if (r.b != 0) {
-        os << " spins=" << r.b;
-      }
-      break;
-    case FrEvent::kQuiescenceVote:
-      os << (r.a != 0 ? " quiet" : " busy") << " in_flight=" << r.b;
-      break;
-    default:
-      if (r.a != 0 || r.b != 0) {
-        os << " a=" << r.a << " b=" << r.b;
-      }
+  const FrEventInfo& info = FrInfo(r.type);
+  os << r.t_ns << " s" << r.shard << " #" << r.seq << " " << info.name;
+  if (r.id != 0) {
+    if (info.category == FrCategory::kMessage) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), " trace=0x%" PRIx64, r.id);
+      os << buf;
+    } else {
+      os << " pid=" << PidFromSpanId(r.id).ToString();
+    }
+  }
+  if (info.a != nullptr) {
+    os << " " << info.a << "=" << r.a;
+  }
+  if (info.b != nullptr) {
+    os << " " << info.b << "=" << r.b;
   }
   os << "\n";
 }
@@ -216,34 +165,6 @@ bool WriteFlightTextFile(const std::vector<FlightRecord>& records, const char* r
     return false;
   }
   WriteFlightText(records, reason, os);
-  return static_cast<bool>(os);
-}
-
-void WriteFlightChromeTrace(const std::vector<FlightRecord>& records, std::ostream& os) {
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  for (const FlightRecord& r : records) {
-    os << (first ? "" : ",") << "{\"name\":\"" << FrEventName(r.type)
-       << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":" << r.shard << ",\"tid\":" << r.shard
-       << ",\"ts\":" << static_cast<double>(r.t_ns) / 1000.0 << ",\"args\":{";
-    if (r.type == FrEvent::kMigrationPhase || r.type == FrEvent::kWatchdogFired) {
-      os << "\"edge\":\"" << FrMigrationEdgeName(static_cast<FrMigrationEdge>(r.a)) << "\",";
-    } else {
-      os << "\"a\":" << r.a << ",";
-    }
-    os << "\"b\":" << r.b << ",\"seq\":" << r.seq << "}}";
-    first = false;
-  }
-  os << "]}\n";
-}
-
-bool WriteFlightChromeTraceFile(const std::vector<FlightRecord>& records,
-                                const std::string& path) {
-  std::ofstream os(path);
-  if (!os) {
-    return false;
-  }
-  WriteFlightChromeTrace(records, os);
   return static_cast<bool>(os);
 }
 

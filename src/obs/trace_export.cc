@@ -13,20 +13,19 @@ namespace demos {
 
 namespace {
 
-// Events sorted by (ts, original order): the merge of per-kernel tracers
-// interleaves machines arbitrarily, but pairing logic wants a timeline.
-std::vector<TraceEvent> Sorted(const std::vector<TraceEvent>& events) {
-  std::vector<TraceEvent> sorted = events;
+// Record time in microseconds, the unit of every span and histogram.
+SimTime Us(const FlightRecord& r) { return r.t_ns / 1000; }
+
+// Records sorted by (time, original order): a merge of several engines'
+// timelines interleaves arbitrarily, but pairing logic wants a timeline.
+std::vector<FlightRecord> Sorted(const std::vector<FlightRecord>& records) {
+  std::vector<FlightRecord> sorted = records;
   std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) { return a.ts < b.ts; });
+                   [](const FlightRecord& a, const FlightRecord& b) { return a.t_ns < b.t_ns; });
   return sorted;
 }
 
-bool IsName(const TraceEvent& ev, const char* name) {
-  // Names are interned static strings, but merged tracers may cross library
-  // boundaries, so compare content rather than pointers.
-  return std::string_view(ev.name) == name;
-}
+bool InCategory(const FlightRecord& r, FrCategory c) { return FrCategoryOf(r.type) == c; }
 
 void SetPhase(MigrationSpan& span, MigrationPhaseKind kind, SimTime start, SimTime end,
               std::uint64_t bytes = 0) {
@@ -80,14 +79,14 @@ const char* MigrationPhaseName(MigrationPhaseKind kind) {
   }
 }
 
-std::vector<MigrationSpan> BuildMigrationSpans(const std::vector<TraceEvent>& events) {
-  const std::vector<TraceEvent> sorted = Sorted(events);
+std::vector<MigrationSpan> BuildMigrationSpans(const std::vector<FlightRecord>& records) {
+  const std::vector<FlightRecord> sorted = Sorted(records);
 
   // Group by correlation id, preserving time order within each group.
-  std::map<std::uint64_t, std::vector<const TraceEvent*>> by_id;
-  for (const TraceEvent& ev : sorted) {
-    if (std::string_view(ev.category) == trace::kMigration) {
-      by_id[ev.id].push_back(&ev);
+  std::map<std::uint64_t, std::vector<const FlightRecord*>> by_id;
+  for (const FlightRecord& r : sorted) {
+    if (InCategory(r, FrCategory::kMigration) && r.id != 0) {
+      by_id[r.id].push_back(&r);
     }
   }
 
@@ -96,113 +95,108 @@ std::vector<MigrationSpan> BuildMigrationSpans(const std::vector<TraceEvent>& ev
     // Split the group into migration instances.  A process migrates strictly
     // sequentially, so a new kRequestSent (or an orphan kMigrationBegin)
     // opens a new instance.
-    std::vector<std::vector<const TraceEvent*>> instances;
-    for (const TraceEvent* ev : group) {
-      const bool opens = IsName(*ev, trace::kRequestSent) ||
-                         (IsName(*ev, trace::kMigrationBegin) &&
-                          (instances.empty() || std::any_of(instances.back().begin(),
-                                                            instances.back().end(),
-                                                            [](const TraceEvent* e) {
-                                                              return IsName(*e,
-                                                                            trace::kMigrationBegin);
-                                                            })));
+    std::vector<std::vector<const FlightRecord*>> instances;
+    const auto is_begin = [](const FlightRecord* e) {
+      return e->type == FrEvent::kMigrationBegin;
+    };
+    for (const FlightRecord* r : group) {
+      const bool opens =
+          r->type == FrEvent::kRequestSent ||
+          (is_begin(r) && (instances.empty() || std::any_of(instances.back().begin(),
+                                                            instances.back().end(), is_begin)));
       if (opens || instances.empty()) {
         instances.emplace_back();
       }
-      instances.back().push_back(ev);
+      instances.back().push_back(r);
     }
 
     for (const auto& instance : instances) {
       MigrationSpan span;
       span.id = id;
-      // Raw instants indexed by name for pairing (first occurrence wins; a
+      span.pid = PidFromSpanId(id);
+      // Raw instants indexed by event for pairing (first occurrence wins; a
       // well-formed instance has each step at most once).
-      std::unordered_map<std::string_view, const TraceEvent*> at;
-      const TraceEvent* section_req[3] = {nullptr, nullptr, nullptr};
-      const TraceEvent* section_got[3] = {nullptr, nullptr, nullptr};
-      for (const TraceEvent* ev : instance) {
-        if (ev->pid.valid()) {
-          span.pid = ev->pid;
-        }
-        if (IsName(*ev, trace::kPullRequested) && ev->arg0 < 3) {
-          if (section_req[ev->arg0] == nullptr) {
-            section_req[ev->arg0] = ev;
+      const FlightRecord* at[kNumFrEvents] = {};
+      const FlightRecord* section_req[3] = {nullptr, nullptr, nullptr};
+      const FlightRecord* section_got[3] = {nullptr, nullptr, nullptr};
+      for (const FlightRecord* r : instance) {
+        if (r->type == FrEvent::kPullRequested && r->a < 3) {
+          if (section_req[r->a] == nullptr) {
+            section_req[r->a] = r;
           }
           continue;
         }
-        if (IsName(*ev, trace::kSectionReceived) && ev->arg0 < 3) {
-          if (section_got[ev->arg0] == nullptr) {
-            section_got[ev->arg0] = ev;
+        if (r->type == FrEvent::kSectionReceived && r->a < 3) {
+          if (section_got[r->a] == nullptr) {
+            section_got[r->a] = r;
           }
           continue;
         }
-        at.emplace(ev->name, ev);
+        const FlightRecord*& slot = at[static_cast<int>(r->type)];
+        if (slot == nullptr) {
+          slot = r;
+        }
       }
 
-      auto find = [&](const char* name) -> const TraceEvent* {
-        auto it = at.find(name);
-        return it == at.end() ? nullptr : it->second;
-      };
+      auto find = [&](FrEvent e) { return at[static_cast<int>(e)]; };
+      const FlightRecord* request_sent = find(FrEvent::kRequestSent);
+      const FlightRecord* begin = find(FrEvent::kMigrationBegin);
+      const FlightRecord* offer_sent = find(FrEvent::kOfferSent);
+      const FlightRecord* offer_received = find(FrEvent::kOfferReceived);
+      const FlightRecord* accept_sent = find(FrEvent::kAcceptSent);
+      const FlightRecord* accept_received = find(FrEvent::kAcceptReceived);
+      const FlightRecord* done_sent = find(FrEvent::kTransferDoneSent);
+      const FlightRecord* done_received = find(FrEvent::kTransferDoneReceived);
+      const FlightRecord* cleanup_sent = find(FrEvent::kCleanupSent);
+      const FlightRecord* restarted = find(FrEvent::kRestarted);
+      const FlightRecord* aborted = find(FrEvent::kMigrationAborted);
+      const FlightRecord* pending = find(FrEvent::kPendingForwarded);
 
-      const TraceEvent* request_sent = find(trace::kRequestSent);
-      const TraceEvent* begin = find(trace::kMigrationBegin);
-      const TraceEvent* offer_sent = find(trace::kOfferSent);
-      const TraceEvent* offer_received = find(trace::kOfferReceived);
-      const TraceEvent* accept_sent = find(trace::kAcceptSent);
-      const TraceEvent* accept_received = find(trace::kAcceptReceived);
-      const TraceEvent* done_sent = find(trace::kTransferDoneSent);
-      const TraceEvent* done_received = find(trace::kTransferDoneReceived);
-      const TraceEvent* cleanup_sent = find(trace::kCleanupSent);
-      const TraceEvent* restarted = find(trace::kRestarted);
-      const TraceEvent* aborted = find(trace::kMigrationAborted);
-      const TraceEvent* pending = find(trace::kPendingForwarded);
-
-      const TraceEvent* first = instance.front();
-      const TraceEvent* last = instance.back();
-      span.start = request_sent != nullptr ? request_sent->ts : first->ts;
-      span.end = last->ts;
+      span.start = Us(request_sent != nullptr ? *request_sent : *instance.front());
+      span.end = Us(*instance.back());
       if (begin != nullptr) {
-        span.source = begin->machine;
-        span.destination = static_cast<MachineId>(begin->arg0);
+        span.source = begin->shard;
+        span.destination = static_cast<MachineId>(begin->a);
       }
       if (offer_received != nullptr) {
-        span.destination = offer_received->machine;
+        span.destination = offer_received->shard;
       }
       span.completed = restarted != nullptr;
       span.aborted = aborted != nullptr;
       if (span.completed) {
-        span.end = restarted->ts;
+        span.end = Us(*restarted);
       } else if (span.aborted) {
-        span.end = aborted->ts;
+        span.end = Us(*aborted);
       }
       if (pending != nullptr) {
-        span.pending_forwarded = pending->arg0;
+        span.pending_forwarded = pending->a;
       }
 
       if (request_sent != nullptr && begin != nullptr) {
-        SetPhase(span, MigrationPhaseKind::kRequest, request_sent->ts, begin->ts);
+        SetPhase(span, MigrationPhaseKind::kRequest, Us(*request_sent), Us(*begin));
       }
       if (offer_sent != nullptr && offer_received != nullptr) {
-        SetPhase(span, MigrationPhaseKind::kOffer, offer_sent->ts, offer_received->ts);
+        SetPhase(span, MigrationPhaseKind::kOffer, Us(*offer_sent), Us(*offer_received));
       }
       if (accept_sent != nullptr && accept_received != nullptr) {
-        SetPhase(span, MigrationPhaseKind::kAccept, accept_sent->ts, accept_received->ts);
+        SetPhase(span, MigrationPhaseKind::kAccept, Us(*accept_sent), Us(*accept_received));
       }
       for (int s = 0; s < 3; ++s) {
         if (section_req[s] != nullptr && section_got[s] != nullptr) {
-          SetPhase(span, SectionPhase(static_cast<std::uint64_t>(s)), section_req[s]->ts,
-                   section_got[s]->ts, section_got[s]->arg1);
-          span.bytes_moved += section_got[s]->arg1;
+          SetPhase(span, SectionPhase(static_cast<std::uint64_t>(s)), Us(*section_req[s]),
+                   Us(*section_got[s]), section_got[s]->b);
+          span.bytes_moved += section_got[s]->b;
         }
       }
       if (done_sent != nullptr && done_received != nullptr) {
-        SetPhase(span, MigrationPhaseKind::kTransferComplete, done_sent->ts, done_received->ts);
+        SetPhase(span, MigrationPhaseKind::kTransferComplete, Us(*done_sent),
+                 Us(*done_received));
       }
       if (cleanup_sent != nullptr && restarted != nullptr) {
         // Steps 6-8 collapse into one phase: the source's queue-forward and
         // forwarding-address install happen at cleanup_sent's instant, then
         // CLEANUP_DONE flies and the destination restarts the process.
-        SetPhase(span, MigrationPhaseKind::kRestart, cleanup_sent->ts, restarted->ts);
+        SetPhase(span, MigrationPhaseKind::kRestart, Us(*cleanup_sent), Us(*restarted));
       }
       spans.push_back(std::move(span));
     }
@@ -213,34 +207,42 @@ std::vector<MigrationSpan> BuildMigrationSpans(const std::vector<TraceEvent>& ev
   return spans;
 }
 
-std::vector<MessageTrace> BuildMessageTraces(const std::vector<TraceEvent>& events) {
-  const std::vector<TraceEvent> sorted = Sorted(events);
+std::vector<MessageTrace> BuildMessageTraces(const std::vector<FlightRecord>& records) {
+  const std::vector<FlightRecord> sorted = Sorted(records);
   std::map<std::uint64_t, MessageTrace> by_id;
   std::vector<std::uint64_t> order;
-  for (const TraceEvent& ev : sorted) {
-    if (std::string_view(ev.category) != trace::kMessage || ev.id == 0) {
+  for (const FlightRecord& r : sorted) {
+    if (!InCategory(r, FrCategory::kMessage) || r.id == 0) {
       continue;
     }
-    auto [it, inserted] = by_id.try_emplace(ev.id);
+    auto [it, inserted] = by_id.try_emplace(r.id);
     MessageTrace& t = it->second;
     if (inserted) {
-      t.id = ev.id;
-      order.push_back(ev.id);
+      t.id = r.id;
+      order.push_back(r.id);
     }
-    if (IsName(ev, trace::kMsgSend) || IsName(ev, trace::kLinkUpdateSent)) {
-      t.sent = ev.ts;
-      t.type = ev.arg0;
-      t.origin = ev.machine;
-    } else if (IsName(ev, trace::kMsgForward)) {
-      t.hops = std::max<std::uint32_t>(t.hops, static_cast<std::uint32_t>(ev.arg0));
-    } else if (IsName(ev, trace::kMsgBounce)) {
-      t.bounces++;
-    } else if (IsName(ev, trace::kMsgDeliver) || IsName(ev, trace::kLinkUpdateApplied)) {
-      t.delivered = ev.ts;
-      t.was_delivered = true;
-      if (IsName(ev, trace::kMsgDeliver)) {
-        t.hops = std::max<std::uint32_t>(t.hops, static_cast<std::uint32_t>(ev.arg0));
-      }
+    switch (r.type) {
+      case FrEvent::kMsgSend:
+      case FrEvent::kLinkUpdateSent:
+        t.sent = Us(r);
+        t.type = r.a;
+        t.origin = r.shard;
+        break;
+      case FrEvent::kMsgForward:
+        t.hops = std::max<std::uint32_t>(t.hops, static_cast<std::uint32_t>(r.a));
+        break;
+      case FrEvent::kMsgBounce:
+        t.bounces++;
+        break;
+      case FrEvent::kMsgDeliver:
+        t.hops = std::max<std::uint32_t>(t.hops, static_cast<std::uint32_t>(r.a));
+        [[fallthrough]];
+      case FrEvent::kLinkUpdateApplied:
+        t.delivered = Us(r);
+        t.was_delivered = true;
+        break;
+      default:
+        break;
     }
   }
   std::vector<MessageTrace> out;
@@ -264,8 +266,8 @@ HistId PhaseHist(MigrationPhaseKind kind) {
 
 }  // namespace
 
-void BuildTraceStats(const std::vector<TraceEvent>& events, StatsRegistry* registry) {
-  for (const MigrationSpan& span : BuildMigrationSpans(events)) {
+void BuildTraceStats(const std::vector<FlightRecord>& records, StatsRegistry* registry) {
+  for (const MigrationSpan& span : BuildMigrationSpans(records)) {
     if (span.completed) {
       registry->Observe(HistId::kMigrationTotalUs, span.duration());
     }
@@ -279,23 +281,19 @@ void BuildTraceStats(const std::vector<TraceEvent>& events, StatsRegistry* regis
   // Link-update lag: from the forwarding kernel emitting the LINK_UPDATE to
   // the sender's kernel patching the link table (Sec. 5's lazy update).
   std::unordered_map<std::uint64_t, SimTime> update_sent;
-  const std::vector<TraceEvent> sorted = Sorted(events);
-  for (const TraceEvent& ev : sorted) {
-    if (std::string_view(ev.category) != trace::kMessage) {
-      continue;
-    }
-    if (IsName(ev, trace::kLinkUpdateSent)) {
-      update_sent.emplace(ev.id, ev.ts);
-    } else if (IsName(ev, trace::kLinkUpdateApplied)) {
-      auto it = update_sent.find(ev.id);
+  for (const FlightRecord& r : Sorted(records)) {
+    if (r.type == FrEvent::kLinkUpdateSent) {
+      update_sent.emplace(r.id, Us(r));
+    } else if (r.type == FrEvent::kLinkUpdateApplied) {
+      auto it = update_sent.find(r.id);
       if (it != update_sent.end()) {
-        registry->Observe(HistId::kLinkUpdateLagUs, ev.ts - it->second);
+        registry->Observe(HistId::kLinkUpdateLagUs, Us(r) - it->second);
         update_sent.erase(it);
       }
     }
   }
 
-  for (const MessageTrace& msg : BuildMessageTraces(events)) {
+  for (const MessageTrace& msg : BuildMessageTraces(records)) {
     if (msg.hops > 0) {
       registry->Observe(HistId::kForwardHops, msg.hops);
     }
@@ -311,15 +309,8 @@ namespace {
 // Synthetic Chrome "process" hosting the reconstructed migration span trees.
 constexpr int kMigrationsPid = 10000;
 
-int CategoryTid(std::string_view category) {
-  if (category == trace::kMigration) {
-    return 1;
-  }
-  if (category == trace::kMessage) {
-    return 2;
-  }
-  return 3;  // net and anything else
-}
+// One track per category within a shard's process.
+int CategoryTid(FrCategory category) { return static_cast<int>(category) + 1; }
 
 void WriteMeta(std::ostream& os, bool& first, int pid, int tid, const char* what,
                const std::string& value) {
@@ -329,64 +320,54 @@ void WriteMeta(std::ostream& os, bool& first, int pid, int tid, const char* what
 }
 
 void WriteCompleteEvent(std::ostream& os, bool& first, int pid, int tid, const std::string& name,
-                        const char* category, SimTime ts, SimDuration dur,
-                        const std::string& extra_args) {
+                        SimTime ts, SimDuration dur, const std::string& extra_args) {
   os << (first ? "" : ",\n") << "  {\"ph\":\"X\",\"name\":\"" << name << "\",\"cat\":\""
-     << category << "\",\"pid\":" << pid << ",\"tid\":" << tid << ",\"ts\":" << ts
-     << ",\"dur\":" << dur << ",\"args\":{" << extra_args << "}}";
+     << FrCategoryName(FrCategory::kMigration) << "\",\"pid\":" << pid << ",\"tid\":" << tid
+     << ",\"ts\":" << ts << ",\"dur\":" << dur << ",\"args\":{" << extra_args << "}}";
   first = false;
 }
 
 }  // namespace
 
-void WriteChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os) {
-  const std::vector<TraceEvent> sorted = Sorted(events);
+void WriteChromeTrace(const std::vector<FlightRecord>& records, std::ostream& os) {
+  const std::vector<FlightRecord> sorted = Sorted(records);
 
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   bool first = true;
 
-  // Track metadata: one Chrome "process" per machine, one "thread" per
-  // event category.
-  std::set<MachineId> machines;
-  std::set<std::pair<MachineId, int>> tracks;
-  for (const TraceEvent& ev : sorted) {
-    if (ev.machine != kNoMachine) {
-      machines.insert(ev.machine);
-      tracks.insert({ev.machine, CategoryTid(ev.category)});
-    }
+  // Track metadata: one Chrome "process" per recorder shard (a machine, or
+  // the engine's harness/coordinator slot), one "thread" per category.
+  std::set<std::uint16_t> shards;
+  std::set<std::pair<std::uint16_t, FrCategory>> tracks;
+  for (const FlightRecord& r : sorted) {
+    shards.insert(r.shard);
+    tracks.insert({r.shard, FrCategoryOf(r.type)});
   }
-  for (MachineId m : machines) {
-    WriteMeta(os, first, m, 0, "process_name", "machine m" + std::to_string(m));
+  for (std::uint16_t shard : shards) {
+    WriteMeta(os, first, shard, 0, "process_name", "machine m" + std::to_string(shard));
   }
-  for (const auto& [m, tid] : tracks) {
-    const char* name = tid == 1 ? "migration" : tid == 2 ? "messages" : "net";
-    WriteMeta(os, first, m, tid, "thread_name", name);
+  for (const auto& [shard, category] : tracks) {
+    WriteMeta(os, first, shard, CategoryTid(category), "thread_name",
+              FrCategoryName(category));
   }
 
-  // Raw events on per-machine tracks.
-  for (const TraceEvent& ev : sorted) {
-    const int tid = CategoryTid(ev.category);
-    const char ph = ev.phase == TracePhase::kBegin    ? 'b'
-                    : ev.phase == TracePhase::kEnd    ? 'e'
-                    : ev.phase == TracePhase::kComplete ? 'X'
-                                                        : 'i';
-    os << (first ? "" : ",\n") << "  {\"ph\":\"" << ph << "\",\"name\":\"" << ev.name
-       << "\",\"cat\":\"" << ev.category << "\",\"pid\":" << ev.machine << ",\"tid\":" << tid
-       << ",\"ts\":" << ev.ts;
-    if (ev.phase == TracePhase::kComplete) {
-      os << ",\"dur\":" << ev.dur;
+  // Raw records as instants on per-shard tracks, operands under their names.
+  for (const FlightRecord& r : sorted) {
+    const FrEventInfo& info = FrInfo(r.type);
+    os << (first ? "" : ",\n") << "  {\"ph\":\"i\",\"name\":\"" << info.name << "\",\"cat\":\""
+       << FrCategoryName(info.category) << "\",\"pid\":" << r.shard
+       << ",\"tid\":" << CategoryTid(info.category) << ",\"ts\":" << Us(r)
+       << ",\"s\":\"t\",\"args\":{\"id\":\"" << JsonHexId(r.id) << "\"";
+    if (r.id != 0 && info.category != FrCategory::kMessage) {
+      os << ",\"process\":\"" << PidFromSpanId(r.id).ToString() << "\"";
     }
-    if (ev.phase == TracePhase::kInstant) {
-      os << ",\"s\":\"t\"";
+    if (info.a != nullptr) {
+      os << ",\"" << info.a << "\":" << r.a;
     }
-    if (ev.phase == TracePhase::kBegin || ev.phase == TracePhase::kEnd) {
-      os << ",\"id\":\"" << JsonHexId(ev.id) << "\"";
+    if (info.b != nullptr) {
+      os << ",\"" << info.b << "\":" << r.b;
     }
-    os << ",\"args\":{\"id\":\"" << JsonHexId(ev.id) << "\"";
-    if (ev.pid.valid()) {
-      os << ",\"process\":\"" << ev.pid.ToString() << "\"";
-    }
-    os << ",\"arg0\":" << ev.arg0 << ",\"arg1\":" << ev.arg1 << "}}";
+    os << ",\"seq\":" << r.seq << "}}";
     first = false;
   }
 
@@ -406,16 +387,14 @@ void WriteChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os) {
                                     std::to_string(span.bytes_moved) + ",\"pending_forwarded\":" +
                                     std::to_string(span.pending_forwarded) + ",\"completed\":" +
                                     (span.completed ? "true" : "false");
-      WriteCompleteEvent(os, first, kMigrationsPid, tid,
-                         "migrate " + span.pid.ToString(), trace::kMigration, span.start,
-                         std::max<SimDuration>(span.duration(), 1), root_args);
+      WriteCompleteEvent(os, first, kMigrationsPid, tid, "migrate " + span.pid.ToString(),
+                         span.start, std::max<SimDuration>(span.duration(), 1), root_args);
       for (const MigrationPhaseSpan& phase : span.phases) {
         if (!phase.valid) {
           continue;
         }
         WriteCompleteEvent(os, first, kMigrationsPid, tid, MigrationPhaseName(phase.kind),
-                           trace::kMigration, phase.start,
-                           std::max<SimDuration>(phase.duration(), 1),
+                           phase.start, std::max<SimDuration>(phase.duration(), 1),
                            "\"bytes\":" + std::to_string(phase.bytes));
       }
     }
@@ -424,12 +403,12 @@ void WriteChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os) {
   os << "\n]}\n";
 }
 
-bool WriteChromeTraceFile(const std::vector<TraceEvent>& events, const std::string& path) {
+bool WriteChromeTraceFile(const std::vector<FlightRecord>& records, const std::string& path) {
   std::ofstream file(path);
   if (!file) {
     return false;
   }
-  WriteChromeTrace(events, file);
+  WriteChromeTrace(records, file);
   return static_cast<bool>(file);
 }
 
@@ -437,10 +416,9 @@ bool WriteChromeTraceFile(const std::vector<TraceEvent>& events, const std::stri
 // Summary tables.
 // ---------------------------------------------------------------------------
 
-void WriteTraceSummary(const std::vector<TraceEvent>& events, std::ostream& os) {
-  const std::vector<MigrationSpan> spans = BuildMigrationSpans(events);
-  const std::vector<MessageTrace> messages = BuildMessageTraces(events);
-
+void WriteTraceSummary(const std::vector<FlightRecord>& records, std::ostream& os) {
+  const std::vector<MigrationSpan> spans = BuildMigrationSpans(records);
+  const std::vector<MessageTrace> messages = BuildMessageTraces(records);
   std::size_t completed = 0;
   for (const MigrationSpan& span : spans) {
     completed += span.completed ? 1 : 0;
@@ -488,82 +466,18 @@ void WriteTraceSummary(const std::vector<TraceEvent>& events, std::ostream& os) 
   }
 }
 
-std::vector<TraceEvent> NormalizeShardClocks(const std::vector<TraceEvent>& events,
-                                             const std::vector<ClockSyncPoint>& syncs) {
-  // Per-machine sync polylines, sorted along the virtual axis.
-  std::map<MachineId, std::vector<ClockSyncPoint>> lines;
-  for (const ClockSyncPoint& s : syncs) {
-    lines[s.machine].push_back(s);
-  }
-  std::uint64_t epoch_ns = 0;
-  bool have_epoch = false;
-  for (auto& [machine, line] : lines) {
-    std::sort(line.begin(), line.end(), [](const ClockSyncPoint& a, const ClockSyncPoint& b) {
-      return a.virt_us != b.virt_us ? a.virt_us < b.virt_us : a.real_ns < b.real_ns;
-    });
-    if (!have_epoch || line.front().real_ns < epoch_ns) {
-      epoch_ns = line.front().real_ns;
-      have_epoch = true;
-    }
-  }
-
-  // Virtual us -> real ns along one machine's polyline; 1 us virtual = 1 us
-  // real beyond the observed ends (the least-surprising extrapolation).
-  const auto to_real_ns = [](const std::vector<ClockSyncPoint>& line, SimTime virt) -> double {
-    const auto v = static_cast<double>(virt);
-    if (virt <= line.front().virt_us) {
-      return static_cast<double>(line.front().real_ns) -
-             (static_cast<double>(line.front().virt_us) - v) * 1000.0;
-    }
-    if (virt >= line.back().virt_us) {
-      return static_cast<double>(line.back().real_ns) +
-             (v - static_cast<double>(line.back().virt_us)) * 1000.0;
-    }
-    for (std::size_t i = 1; i < line.size(); ++i) {
-      if (virt <= line[i].virt_us) {
-        const auto v0 = static_cast<double>(line[i - 1].virt_us);
-        const auto v1 = static_cast<double>(line[i].virt_us);
-        const auto r0 = static_cast<double>(line[i - 1].real_ns);
-        const auto r1 = static_cast<double>(line[i].real_ns);
-        const double frac = v1 > v0 ? (v - v0) / (v1 - v0) : 1.0;
-        return r0 + frac * (r1 - r0);
-      }
-    }
-    return static_cast<double>(line.back().real_ns);
-  };
-
-  std::vector<TraceEvent> out;
-  out.reserve(events.size());
-  for (TraceEvent ev : events) {
-    auto it = lines.find(ev.machine);
-    if (it != lines.end()) {
-      const double real_ns = to_real_ns(it->second, ev.ts);
-      const double rebased_us = (real_ns - static_cast<double>(epoch_ns)) / 1000.0;
-      ev.ts = rebased_us > 0 ? static_cast<SimTime>(rebased_us) : 0;
-    }
-    out.push_back(ev);
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) { return a.ts < b.ts; });
-  return out;
-}
-
-std::vector<TraceEvent> FilterTrace(const std::vector<TraceEvent>& events,
-                                    const std::vector<std::uint64_t>& ids,
-                                    const std::vector<ProcessId>& pids) {
-  std::set<std::uint64_t> keep_ids(ids.begin(), ids.end());
-  std::set<std::uint64_t> keep_spans;
+std::vector<FlightRecord> FilterTrace(const std::vector<FlightRecord>& records,
+                                      const std::vector<std::uint64_t>& ids,
+                                      const std::vector<ProcessId>& pids) {
+  std::set<std::uint64_t> keep(ids.begin(), ids.end());
   for (const ProcessId& pid : pids) {
-    keep_spans.insert(MigrationSpanId(pid));
+    keep.insert(MigrationSpanId(pid));
   }
-  std::vector<TraceEvent> out;
-  for (const TraceEvent& ev : events) {
-    const bool suspect_msg = keep_ids.count(ev.id) != 0;
-    const bool suspect_pid =
-        keep_spans.count(MigrationSpanId(ev.pid)) != 0 && ev.pid.valid();
-    const bool migration_context = ev.category == trace::kMigration;
-    if (suspect_msg || suspect_pid || migration_context) {
-      out.push_back(ev);
+  std::vector<FlightRecord> out;
+  for (const FlightRecord& r : records) {
+    const bool suspect = r.id != 0 && keep.count(r.id) != 0;
+    if (suspect || InCategory(r, FrCategory::kMigration)) {
+      out.push_back(r);
     }
   }
   return out;

@@ -1,11 +1,13 @@
 // Trace analysis and export: Chrome trace_event JSON, per-migration span
 // trees, per-message lifecycles, summary tables, and derived histograms.
 //
-// The kernels record *instants* (cheap, single-push); this layer pairs them
-// into spans after the fact.  Pairing is keyed on the correlation id carried
-// by every event -- MigrationSpanId(pid) for migration events,
-// Message::trace_id for message events -- so concurrent migrations and
-// interleaved forwarding chains reconstruct independently.
+// The layers record *instants* into the flight recorder (cheap, one record
+// per event); this layer pairs them into spans after the fact.  Pairing is
+// keyed on the record's correlation id -- MigrationSpanId(pid) for migration
+// events, Message::trace_id for message events -- so concurrent migrations
+// and interleaved forwarding chains reconstruct independently.  Record
+// timestamps are nanoseconds (virtual us x 1000 in the sequential engine,
+// steady_clock in the parallel one); everything here reports microseconds.
 
 #ifndef DEMOS_OBS_TRACE_EXPORT_H_
 #define DEMOS_OBS_TRACE_EXPORT_H_
@@ -16,7 +18,9 @@
 #include <vector>
 
 #include "src/base/stats.h"
+#include "src/obs/flight_recorder.h"
 #include "src/obs/trace.h"
+#include "src/sim/event_queue.h"
 
 namespace demos {
 
@@ -78,48 +82,38 @@ struct MessageTrace {
 };
 
 // Pair migration instants into span trees.  Input need not be sorted.
-std::vector<MigrationSpan> BuildMigrationSpans(const std::vector<TraceEvent>& events);
+std::vector<MigrationSpan> BuildMigrationSpans(const std::vector<FlightRecord>& records);
 
 // Pair message-lifecycle instants into per-message records (send order).
-std::vector<MessageTrace> BuildMessageTraces(const std::vector<TraceEvent>& events);
+std::vector<MessageTrace> BuildMessageTraces(const std::vector<FlightRecord>& records);
 
 // Record the derived histograms into `registry`: HistId::kMigrationTotalUs,
 // the eight HistId::kPhase*Us, HistId::kForwardHops, HistId::kLinkUpdateLagUs.
-void BuildTraceStats(const std::vector<TraceEvent>& events, StatsRegistry* registry);
+void BuildTraceStats(const std::vector<FlightRecord>& records, StatsRegistry* registry);
 
 // Chrome trace_event JSON ({"traceEvents":[...]}) loadable in chrome://tracing
-// or Perfetto.  Virtual microseconds map 1:1 to trace microseconds.  Raw
-// events land on one track per (machine, category); reconstructed migrations
-// additionally render as nested duration ('X') span trees on a synthetic
-// "migrations" process so each migration reads as a bar with 8 sub-bars.
-void WriteChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os);
+// or Perfetto.  Record microseconds map 1:1 to trace microseconds.  Raw
+// records land on one track per (recorder shard, category); reconstructed
+// migrations additionally render as nested duration ('X') span trees on a
+// synthetic "migrations" process so each migration reads as a bar with 8
+// sub-bars.
+void WriteChromeTrace(const std::vector<FlightRecord>& records, std::ostream& os);
 
 // Compact human-readable report: per-migration phase table and the lifecycle
 // of every forwarded or bounced message.
-void WriteTraceSummary(const std::vector<TraceEvent>& events, std::ostream& os);
+void WriteTraceSummary(const std::vector<FlightRecord>& records, std::ostream& os);
 
 // Convenience: WriteChromeTrace to a file path.  Returns false on I/O error.
-bool WriteChromeTraceFile(const std::vector<TraceEvent>& events, const std::string& path);
+bool WriteChromeTraceFile(const std::vector<FlightRecord>& records, const std::string& path);
 
-// Rebuild a shared time axis for a parallel-engine trace.  Each event's ts is
-// its shard's private virtual clock; `syncs` carries the per-shard
-// (virtual, real) correspondence points the shards recorded (thread start and
-// every park).  Each event timestamp is mapped to real time by
-// piecewise-linear interpolation between its machine's surrounding sync
-// points (extrapolated 1:1 in virtual us beyond the ends), then rebased so
-// the earliest sync is t=0.  Events of machines with no sync points keep
-// their timestamps (a sequential trace passes through unchanged).  Output is
-// sorted by the normalized time.
-std::vector<TraceEvent> NormalizeShardClocks(const std::vector<TraceEvent>& events,
-                                             const std::vector<ClockSyncPoint>& syncs);
-
-// Trim a cluster timeline to the events relevant to a failure: keeps events
-// whose correlation id is one of `ids` (message lifecycles), whose pid is one
-// of `pids` (their migration spans included), and -- so the repro has
-// context -- every migration-category event.  Order is preserved.
-std::vector<TraceEvent> FilterTrace(const std::vector<TraceEvent>& events,
-                                    const std::vector<std::uint64_t>& ids,
-                                    const std::vector<ProcessId>& pids);
+// Trim a cluster timeline to the records relevant to a failure: keeps
+// records whose correlation id is one of `ids` (message lifecycles) or the
+// span id of one of `pids` (their migration and addressing events), and --
+// so the repro has context -- every migration-category record.  Order is
+// preserved.
+std::vector<FlightRecord> FilterTrace(const std::vector<FlightRecord>& records,
+                                      const std::vector<std::uint64_t>& ids,
+                                      const std::vector<ProcessId>& pids);
 
 }  // namespace demos
 

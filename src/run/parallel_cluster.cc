@@ -4,11 +4,13 @@
 #include <utility>
 
 #include "src/base/pool.h"
-#include "src/obs/trace_export.h"
 
 namespace demos {
 
 namespace {
+
+// ShardMainSync's idle-record gate: no idle pass recorded since the last work.
+constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
 
 bool DeadlinesArmed(const KernelConfig& kc) {
   return kc.migration_deadlines.offer_accept_us != 0 ||
@@ -264,12 +266,12 @@ void ParallelCluster::ScheduleDelivery(Shard& shard, MachineId src, SimTime send
 
 void ParallelCluster::ShardMain(Shard& shard) {
   MetricShard* metrics = metrics_ ? &metrics_->shard(shard.machine) : nullptr;
-  Tracer& tracer = shard.kernel->tracer();
   PoolThreadStats pool_last{};
   const auto fold_pool_stats = [&] { FoldPoolStats(metrics, pool_last); };
-  // First clock-sync point: the exporter needs at least one (virtual, real)
-  // correspondence per shard to place this shard's events on the shared axis.
-  tracer.RecordClockSync(shard.queue.Now(), FrSteadyClock(nullptr));
+  // Only the first idle pass after work records its vote and park: an idle
+  // shard wakes every idle_park, and a traced (retain-all) recorder would
+  // otherwise grow with idle wall time rather than with work.
+  bool idle_recorded = false;
   while (!stop_.load(std::memory_order_acquire)) {
     std::size_t did = 0;
     did += router_->Drain(shard.machine, config_.drain_batch);
@@ -297,23 +299,23 @@ void ParallelCluster::ShardMain(Shard& shard) {
       if (posted != 0 && flight_) {
         flight_->recorder(shard.machine).Record(FrEvent::kPostedTask, posted);
       }
+      idle_recorded = false;
       continue;
     }
     // Nothing anywhere this round (so the event queue is empty; it can only
     // refill through mail or posted work, which the quiescence counters see).
-    // The virtual clock is frozen while parked, which makes this a clean
-    // clock-sync point for trace normalization.
     if (metrics != nullptr) {
       metrics->Set(GaugeId::kEventQueueDepth,
                    static_cast<std::int64_t>(shard.queue.PendingEvents()));
     }
-    tracer.RecordClockSync(shard.queue.Now(), FrSteadyClock(nullptr));
     fold_pool_stats();
     shard.idle.store(true, std::memory_order_seq_cst);
-    Verify();  // the last shard to go idle announces the drain
-    router_->IdleWait(shard.machine, config_.idle_park, [this, &shard] {
-      return HasLocalWork(shard) || stop_.load(std::memory_order_relaxed);
-    });
+    Verify(!idle_recorded);  // the last shard to go idle announces the drain
+    router_->IdleWait(
+        shard.machine, config_.idle_park,
+        [this, &shard] { return HasLocalWork(shard) || stop_.load(std::memory_order_relaxed); },
+        !idle_recorded);
+    idle_recorded = true;
     shard.idle.store(false, std::memory_order_seq_cst);
   }
   fold_pool_stats();
@@ -321,16 +323,17 @@ void ParallelCluster::ShardMain(Shard& shard) {
 
 void ParallelCluster::ShardMainSync(Shard& shard) {
   MetricShard* metrics = metrics_ ? &metrics_->shard(shard.machine) : nullptr;
-  Tracer& tracer = shard.kernel->tracer();
   PoolThreadStats pool_last{};
   const auto fold_pool_stats = [&] { FoldPoolStats(metrics, pool_last); };
-  tracer.RecordClockSync(shard.queue.Now(), FrSteadyClock(nullptr));
   const MachineId me = shard.machine;
   const ShardRouter::TimedSink sink = [this, &shard](MachineId src, SimTime send_ts,
                                                      PayloadRef payload) {
     ScheduleDelivery(shard, src, send_ts, std::move(payload));
   };
   bool was_tight = false;
+  // As in ShardMain, keyed by window: a shard records one vote and park per
+  // epoch it blocks in, however many idle_park timeouts that takes.
+  std::uint64_t recorded_epoch = kNoEpoch;
   while (!stop_.load(std::memory_order_acquire)) {
     // Snapshot the window first, then advertise busy *before* consuming any
     // input: the verifier's double snapshot relies on every consumption
@@ -375,6 +378,7 @@ void ParallelCluster::ShardMainSync(Shard& shard) {
       if (posted != 0 && flight_) {
         flight_->recorder(me).Record(FrEvent::kPostedTask, posted);
       }
+      recorded_epoch = kNoEpoch;
       continue;
     }
     // Blocked on the window: no mail, no posted work, and the next local
@@ -385,15 +389,19 @@ void ParallelCluster::ShardMainSync(Shard& shard) {
       metrics->Set(GaugeId::kEventQueueDepth,
                    static_cast<std::int64_t>(shard.queue.PendingEvents()));
     }
-    tracer.RecordClockSync(shard.queue.Now(), FrSteadyClock(nullptr));
     fold_pool_stats();
     shard.idle.store(true, std::memory_order_seq_cst);
     lbts_->PublishIdle(me, epoch, shard.queue.NextEventTime(), tight);
-    if (Verify() != Verdict::kOpened) {
-      router_->IdleWait(me, config_.idle_park, [this, &shard, epoch] {
-        return HasSyncWork(shard, epoch) || stop_.load(std::memory_order_relaxed);
-      });
+    const bool record = recorded_epoch != epoch;
+    if (Verify(record) != Verdict::kOpened) {
+      router_->IdleWait(
+          me, config_.idle_park,
+          [this, &shard, epoch] {
+            return HasSyncWork(shard, epoch) || stop_.load(std::memory_order_relaxed);
+          },
+          record);
     }
+    recorded_epoch = epoch;
     shard.idle.store(false, std::memory_order_seq_cst);
   }
   fold_pool_stats();
@@ -412,12 +420,12 @@ ParallelCluster::Snapshot ParallelCluster::TakeSnapshot() const {
   return snap;
 }
 
-ParallelCluster::Verdict ParallelCluster::Verify() {
+ParallelCluster::Verdict ParallelCluster::Verify(bool record) {
   std::lock_guard<std::mutex> lock(advance_mu_);
-  return VerifyLocked();
+  return VerifyLocked(record);
 }
 
-ParallelCluster::Verdict ParallelCluster::VerifyLocked() {
+ParallelCluster::Verdict ParallelCluster::VerifyLocked(bool record) {
   MetricShard* coord = metrics_ ? &metrics_->shard(coordinator_slot()) : nullptr;
   FlightRecorder* coord_flight = flight_ ? &flight_->recorder(coordinator_slot()) : nullptr;
   // The base snapshot rules out in-flight mail and posted work; under sync
@@ -436,7 +444,7 @@ ParallelCluster::Verdict ParallelCluster::VerifyLocked() {
       coord->Inc(CounterId::kQuiescenceVotes);
     }
   }
-  if (coord_flight != nullptr) {
+  if (coord_flight != nullptr && record) {
     coord_flight->Record(FrEvent::kQuiescenceVote, blocked ? 1 : 0, first.sent - first.consumed);
   }
   if (!blocked) {
@@ -527,16 +535,6 @@ void ParallelCluster::RefreshDepthGauges() {
     slab.Set(GaugeId::kSpillDepth,
              static_cast<std::int64_t>(router_->SpillDepth(shard->machine)));
   }
-}
-
-Tracer ParallelCluster::TotalTraceNormalized() const {
-  Tracer merged = TotalTrace();
-  Tracer normalized;
-  normalized.Enable();
-  for (const TraceEvent& ev : NormalizeShardClocks(merged.events(), merged.sync_points())) {
-    normalized.RecordEvent(ev);
-  }
-  return normalized;
 }
 
 }  // namespace demos

@@ -10,8 +10,8 @@
 //
 // Ownership rules (what makes the hot path thread-correct with no locks):
 //   - Every piece of kernel state (process table, link tables, pending
-//     queues, forwarding addresses, stats, rng, tracer) is owned by its
-//     shard and touched only from that shard's thread.
+//     queues, forwarding addresses, stats, rng, flight recorder) is owned by
+//     its shard and touched only from that shard's thread.
 //   - Cross-shard effects travel exclusively as framed messages through the
 //     ShardRouter; the handler runs on the *destination* shard's thread.
 //   - The only shared-memory concurrency is PayloadRef refcounts (shared_ptr
@@ -37,8 +37,8 @@
 // Lifecycle: construct; stage the workload single-threaded (SpawnProcess,
 // SendFromKernel -- sends are parked in mailboxes); Start(); then alternate
 // RunUntilQuiescent() with Post() injections; Stop() joins.  Aggregate reads
-// (TotalStats, HostOf, FindProcessAnywhere, TotalTrace) are only valid
-// before Start or after a true RunUntilQuiescent/Stop.
+// (TotalStats, HostOf, FindProcessAnywhere, the flight-recorder merge) are
+// only valid before Start or after a true RunUntilQuiescent/Stop.
 //
 // The same Kernel code runs the same 8-step Sec. 3.1 migration protocol and
 // byte-identical wire format in both engines; the sequential-equivalence test
@@ -80,7 +80,9 @@ struct ParallelClusterConfig {
   // How long a shard with nothing to do parks before rechecking (also the
   // recovery bound for a theoretically lost wakeup).
   std::chrono::microseconds idle_park{200};
-  // Per-kernel tracers (each written only by its shard thread).
+  // Tracing: message trace ids on, and the flight recorders below keep every
+  // record (each still written only by its shard thread), stamped with
+  // steady_clock so all shards share one time axis.
   bool trace_enabled = false;
   // Shard-local metrics slabs + always-on flight recorder (src/obs).  Both
   // default on: the hot-path cost is relaxed adds and ring stores, and the
@@ -198,13 +200,6 @@ class ParallelCluster final : public Engine {
   // thread (sampler collector), no-op when metrics are disabled.
   void RefreshDepthGauges();
 
-  // TotalTrace with every shard's virtual timestamps normalized onto one
-  // real-time axis via the recorded clock-sync points (see
-  // NormalizeShardClocks in src/obs/trace_export.h); this is the variant to
-  // export as a Chrome trace.  Meaningful for free-running shards; under
-  // conservative sync the virtual clocks are already mutually consistent.
-  Tracer TotalTraceNormalized() const;
-
  private:
   struct Shard {
     MachineId machine = kNoMachine;
@@ -249,10 +244,11 @@ class ParallelCluster final : public Engine {
   std::size_t DrainPosted(Shard& shard);
   Snapshot TakeSnapshot() const;
   // The double-snapshot check run on every shard idle edge and by
-  // RunUntilQuiescent; VerifyLocked expects advance_mu_ held.
+  // RunUntilQuiescent; VerifyLocked expects advance_mu_ held.  `record` =
+  // false skips the quiescence_vote record (a repeated idle pass).
   enum class Verdict { kBusy, kOpened, kDrained };
-  Verdict Verify();
-  Verdict VerifyLocked();
+  Verdict Verify(bool record = true);
+  Verdict VerifyLocked(bool record = true);
   std::uint64_t TotalEventsExecuted() const;
 
   ParallelClusterConfig config_;

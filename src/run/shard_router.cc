@@ -442,7 +442,7 @@ bool ShardRouter::HasMail(MachineId node) const {
 }
 
 void ShardRouter::IdleWait(MachineId node, std::chrono::microseconds timeout,
-                           const std::function<bool()>& has_work) {
+                           const std::function<bool()>& has_work, bool record) {
   Inbox& inbox = *inboxes_[node];
   MetricShard* metrics = MetricsFor(metrics_, node);
   Outbox* outbox = node < outboxes_.size() ? outboxes_[node].get() : nullptr;
@@ -494,7 +494,7 @@ void ShardRouter::IdleWait(MachineId node, std::chrono::microseconds timeout,
   // before seeing kConsumerParked is caught here, any producer that pushes
   // after will see the state and notify.
   if (!has_work()) {
-    FlightRecorder* flight = FlightFor(flight_, node);
+    FlightRecorder* flight = record ? FlightFor(flight_, node) : nullptr;
     if (metrics != nullptr) {
       metrics->Inc(CounterId::kCondvarParks);
     }

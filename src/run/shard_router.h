@@ -170,8 +170,10 @@ class ShardRouter final : public Transport {
   // (advertised as kConsumerSpinning so producers elide notifies), then park
   // on the condvar until a producer wakes it, `has_work` turns true, or
   // `timeout` elapses.  The timeout doubles as missed-wakeup insurance.
+  // `record` = false keeps the park out of the flight recorder (a repeated
+  // idle pass that adds nothing to the timeline).
   void IdleWait(MachineId node, std::chrono::microseconds timeout,
-                const std::function<bool()>& has_work);
+                const std::function<bool()>& has_work, bool record = true);
 
   // Wake one shard / all shards (Post() injection and Stop() teardown).
   void Wake(MachineId node);

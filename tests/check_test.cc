@@ -29,7 +29,6 @@ bool HasInvariant(const std::vector<Violation>& violations, const std::string& n
 // corrupt framing).
 ChaosOptions BrokenForwarding(int machines) {
   ChaosOptions options;
-  options.collect_trace = false;
   options.forward_fault = [machines](Message& msg) {
     msg.receiver.last_known_machine =
         static_cast<MachineId>((msg.receiver.last_known_machine + 1) % machines);
@@ -100,7 +99,6 @@ TEST(ChaosScenarioTest, DisableFeatureReportsInactivity) {
 
 TEST(ChaosHarnessTest, CleanSeedsPass) {
   ChaosOptions quiet;
-  quiet.collect_trace = false;
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     const ChaosResult result = RunScenario(ScenarioFromSeed(seed), quiet);
     EXPECT_TRUE(result.ok()) << "seed " << seed << ": "
@@ -116,7 +114,6 @@ TEST(ChaosHarnessTest, SameSeedSameOutcome) {
   // Replayability is the whole point of `chaos_fuzz --seed=N`: the run is a
   // pure function of the seed.
   ChaosOptions quiet;
-  quiet.collect_trace = false;
   const ChaosResult first = RunScenario(ScenarioFromSeed(7), quiet);
   const ChaosResult second = RunScenario(ScenarioFromSeed(7), quiet);
   EXPECT_EQ(first.events_executed, second.events_executed);
@@ -145,7 +142,6 @@ TEST(ChaosHarnessTest, BrokenForwardingCaughtWithReplayableSeed) {
   EXPECT_FALSE(broken.ok()) << "seed " << caught_seed << " did not replay the failure";
 
   ChaosOptions quiet;
-  quiet.collect_trace = false;
   const ChaosResult clean = RunScenario(scenario, quiet);
   EXPECT_TRUE(clean.ok()) << "seed " << caught_seed
                           << " fails even without the fault: " << clean.violations.size()
@@ -221,7 +217,6 @@ TEST(ChaosScenarioTest, PermanentDeathScenarioIsDeterministicAndArmed) {
 
 TEST(ChaosHarnessTest, PermanentDeathSeedsPass) {
   ChaosOptions quiet;
-  quiet.collect_trace = false;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const ChaosResult result = RunScenario(PermanentDeathScenarioFromSeed(seed), quiet);
     EXPECT_TRUE(result.ok()) << "permadeath seed " << seed << ": "
@@ -279,6 +274,36 @@ TEST(ClusterCheckerTest, DualOwnerFlagged) {
   ClusterChecker checker(&cluster);
   checker.ExpectLive(counter->pid);
   EXPECT_TRUE(HasInvariant(checker.CheckAtQuiescence(), "single-owner"));
+}
+
+TEST(ClusterCheckerTest, SuspectPidBringsTheMessagesAddressedToIt) {
+  // Trimmed chaos traces keep a message record by its trace id alone, so a
+  // process the audit flags must bring the ids of its messages along.
+  testutil::RegisterPrograms();
+  ClusterConfig config;
+  config.machines = 2;
+  config.trace_enabled = true;
+  Cluster cluster(config);
+  ClusterChecker checker(&cluster);
+  cluster.SetObserver(&checker);
+
+  auto counter = cluster.kernel(0).SpawnProcess("counter");
+  ASSERT_TRUE(counter.ok());
+  for (int i = 0; i < 3; ++i) {
+    cluster.kernel(1).SendFromKernel(*counter, kIncrement, {});
+  }
+  cluster.RunUntilIdle();
+  auto checkpoint = cluster.kernel(0).CheckpointProcess(counter->pid);
+  ASSERT_TRUE(checkpoint.ok());
+  ASSERT_TRUE(cluster.kernel(1).AdoptProcess(*checkpoint).ok());
+  cluster.RunUntilIdle();
+  cluster.SetObserver(nullptr);
+
+  checker.ExpectLive(counter->pid);
+  ASSERT_TRUE(HasInvariant(checker.CheckAtQuiescence(), "single-owner"));
+  EXPECT_EQ(checker.suspect_pids(), std::vector<ProcessId>{counter->pid});
+  EXPECT_GE(checker.tracked_messages(), 3u);
+  EXPECT_EQ(checker.suspect_trace_ids().size(), checker.tracked_messages());
 }
 
 TEST(ClusterCheckerTest, LostProcessFlagged) {

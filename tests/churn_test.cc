@@ -454,7 +454,6 @@ TEST(ChurnScenarioTest, HalveCrashesFeatureShrinksSchedule) {
 
 TEST(ChurnScenarioTest, ChurnSeedsPass) {
   ChaosOptions quiet;
-  quiet.collect_trace = false;
   quiet.collect_flight = false;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const ChaosResult result = RunScenario(ChurnScenarioFromSeed(seed), quiet);
@@ -468,7 +467,6 @@ TEST(ChurnScenarioTest, ChurnSeedsPass) {
 
 TEST(ChurnScenarioTest, ChurnPermadeathSeedsPass) {
   ChaosOptions quiet;
-  quiet.collect_trace = false;
   quiet.collect_flight = false;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const ChaosResult result = RunScenario(ChurnScenarioFromSeed(seed, true), quiet);

@@ -354,7 +354,6 @@ TEST_F(EngineTest, ChaosScenariosPassOnParallelEngine) {
     ChaosScenario scenario = ScenarioFromSeed(seed);
     ChaosOptions options;
     options.engine = ChaosEngineKind::kParallel;
-    options.collect_trace = false;
     options.collect_flight = false;
     const ChaosResult result = RunScenario(scenario, options);
     EXPECT_TRUE(result.ok()) << "seed " << seed << "\n" << ViolationSummary(result);
@@ -365,10 +364,27 @@ TEST_F(EngineTest, ChaosPermanentDeathPassesOnParallelEngine) {
   ChaosScenario scenario = PermanentDeathScenarioFromSeed(1);
   ChaosOptions options;
   options.engine = ChaosEngineKind::kParallel;
-  options.collect_trace = false;
   options.collect_flight = false;
   const ChaosResult result = RunScenario(scenario, options);
   EXPECT_TRUE(result.ok()) << ViolationSummary(result);
+}
+
+// Chaos runs trace every message, so the parallel engine's recorders grow
+// on the shard threads.  The verdict and the merged timeline are read on the
+// harness thread, which must not race a parked shard's periodic wakeups.
+TEST_F(EngineTest, ParallelChaosCollectsFlightRecords) {
+  ChaosOptions options;
+  options.engine = ChaosEngineKind::kParallel;
+  options.collect_flight = true;
+  const ChaosResult result = RunScenario(ScenarioFromSeed(1), options);
+  EXPECT_TRUE(result.ok()) << ViolationSummary(result);
+  ASSERT_FALSE(result.flight.empty());
+  EXPECT_TRUE(std::is_sorted(result.flight.begin(), result.flight.end(),
+                             [](const FlightRecord& x, const FlightRecord& y) {
+                               return x.t_ns < y.t_ns;
+                             }));
+  EXPECT_TRUE(std::any_of(result.flight.begin(), result.flight.end(),
+                          [](const FlightRecord& r) { return r.type == FrEvent::kMsgDeliver; }));
 }
 
 }  // namespace

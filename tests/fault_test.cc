@@ -3,24 +3,24 @@
 
 #include <gtest/gtest.h>
 
-#include <string_view>
+#include <sstream>
+#include <string>
 
 #include "src/base/stats.h"
 #include "src/check/invariants.h"
 #include "src/fault/crash.h"
 #include "src/fault/recovery.h"
-#include "src/obs/trace.h"
+#include "src/obs/flight_recorder.h"
 #include "tests/sys_test_util.h"
 
 namespace demos {
 namespace {
 
-int TraceCount(const Kernel& kernel, const char* name) {
+// Records of `type` machine `m` has made (the cluster must run traced).
+int TraceCount(Cluster& cluster, MachineId m, FrEvent type) {
   int count = 0;
-  for (const TraceEvent& ev : kernel.tracer().events()) {
-    if (std::string_view(ev.name) == name) {
-      ++count;
-    }
+  for (const FlightRecord& r : cluster.flight_recorder()->recorder(m).SnapshotRecords()) {
+    count += r.type == type ? 1 : 0;
   }
   return count;
 }
@@ -396,8 +396,8 @@ TEST_F(FaultTest, DestinationDiesPermanentlyMidTransferSourceRollsBack) {
   EXPECT_EQ(cluster.kernel(0).migrate_done_log()[0].status, StatusCode::kPeerTimeout);
   EXPECT_EQ(cluster.kernel(0).migrate_done_log()[0].final_home, 0);
   EXPECT_EQ(cluster.kernel(0).stats().Get(stat::kMigrationsTimedOut), 1);
-  EXPECT_GE(TraceCount(cluster.kernel(0), trace::kWatchdogTimeout), 1);
-  EXPECT_GE(TraceCount(cluster.kernel(0), trace::kCancelSent), 1);
+  EXPECT_GE(TraceCount(cluster, 0, FrEvent::kWatchdogTimeout), 1);
+  EXPECT_GE(TraceCount(cluster, 0, FrEvent::kCancelSent), 1);
 
   // The reliable channel gave up on the corpse and fed the suspect list.
   EXPECT_GE(cluster.reliable()->stats().Get(StatId::kRelGiveUps), 1);
@@ -418,6 +418,37 @@ TEST_F(FaultTest, DestinationDiesPermanentlyMidTransferSourceRollsBack) {
   const std::vector<Violation> violations = checker.CheckAtQuiescence();
   EXPECT_TRUE(violations.empty())
       << (violations.empty() ? std::string() : violations.front().ToString());
+}
+
+TEST_F(FaultTest, WatchdogDumpCarriesTheFiredDeadline) {
+  // The post-mortem must say which deadline fired.  The destination dies
+  // mid-transfer, so the source's transfer-progress deadline (distinct from
+  // the offer deadline here) is the one that expires.
+  ClusterConfig config = WatchdogConfig();
+  config.kernel.migration_deadlines.transfer_progress_us = 25'000;
+  Cluster cluster(config);
+  auto counter = cluster.kernel(0).SpawnProcess("counter", 4096, 32768, 2048);
+  ASSERT_TRUE(counter.ok());
+  cluster.RunUntilIdle();
+
+  (void)cluster.kernel(0).StartMigration(counter->pid, 1,
+                                         cluster.kernel(0).kernel_address());
+  cluster.RunFor(2'000);  // mid-transfer
+  CrashController crash(&cluster);
+  crash.Crash(1);  // permanent
+  cluster.RunUntilIdle();
+  ASSERT_EQ(cluster.kernel(0).stats().Get(stat::kMigrationsTimedOut), 1);
+  EXPECT_STREQ(cluster.flight_recorder()->reason(), "watchdog cancel");
+
+  std::ostringstream dump;
+  WriteFlightText(cluster.flight_recorder()->Merged(), cluster.flight_recorder()->reason(), dump);
+  const std::string text = dump.str();
+  const std::size_t at = text.find(" watchdog_timeout ");
+  ASSERT_NE(at, std::string::npos) << text;
+  const std::string line = text.substr(at, text.find('\n', at) - at);
+  EXPECT_NE(line.find("pid=" + counter->pid.ToString()), std::string::npos) << line;
+  EXPECT_NE(line.find("deadline_us=25000"), std::string::npos) << line;
+  EXPECT_NE(line.find("peer=1"), std::string::npos) << line;
 }
 
 TEST_F(FaultTest, SourceDiesPermanentlyMidTransferDestinationReaps) {
@@ -448,7 +479,7 @@ TEST_F(FaultTest, SourceDiesPermanentlyMidTransferDestinationReaps) {
   EXPECT_FALSE(cluster.kernel(1).HasMigrationInProgress());
   EXPECT_EQ(cluster.kernel(1).stats().Get(stat::kMigrationsReaped), 1);
   EXPECT_EQ(cluster.kernel(1).stats().Get(stat::kMigrationsAdopted), 0);
-  EXPECT_EQ(TraceCount(cluster.kernel(1), trace::kDestReaped), 1);
+  EXPECT_EQ(TraceCount(cluster, 1, FrEvent::kDestReaped), 1);
   EXPECT_TRUE(cluster.kernel(1).IsPeerSuspect(0));
 
   cluster.SetObserver(nullptr);
@@ -481,7 +512,7 @@ TEST_F(FaultTest, SourceDiesPermanentlyAfterTransferDestinationAdopts) {
   // then kill the source before the cleanup handshake can land.
   ASSERT_TRUE(testutil::RunUntil(
       cluster,
-      [&] { return TraceCount(cluster.kernel(1), trace::kTransferDoneSent) > 0; },
+      [&] { return TraceCount(cluster, 1, FrEvent::kTransferDoneSent) > 0; },
       2'000'000, /*step_us=*/50));
   CrashController crash(&cluster);
   crash.Crash(0);  // permanent
@@ -492,7 +523,7 @@ TEST_F(FaultTest, SourceDiesPermanentlyAfterTransferDestinationAdopts) {
   // on a machine that will never run again -- so ask the live kernel.)
   EXPECT_EQ(cluster.kernel(1).stats().Get(stat::kMigrationsAdopted), 1);
   EXPECT_EQ(cluster.kernel(1).stats().Get(stat::kMigrationsReaped), 0);
-  EXPECT_EQ(TraceCount(cluster.kernel(1), trace::kDestAdopted), 1);
+  EXPECT_EQ(TraceCount(cluster, 1, FrEvent::kDestAdopted), 1);
   ProcessRecord* record = cluster.kernel(1).FindProcess(counter->pid);
   ASSERT_NE(record, nullptr);
   ByteReader r(record->memory.ReadData(0, 8));

@@ -1,9 +1,9 @@
 // Tests for the shard-level observability layer (src/obs): the metrics
 // engine's catalog/histograms/snapshots (including a snapshot-under-write
-// stress that TSan must pass), the flight recorder's ring semantics and
-// deterministic dumps, the hub's trigger latch, the StatsRegistry /
-// PayloadCounters fold, the exporters, and the parallel-trace clock
-// normalization.
+// stress that TSan must pass), the flight recorder's ring and retain-all
+// semantics and deterministic dumps, the hub's trigger latch, the
+// StatsRegistry / PayloadCounters fold, the exporters, and traced parallel
+// runs (growing recorders written by shard threads, read at quiescence).
 
 #include <gtest/gtest.h>
 
@@ -44,7 +44,7 @@ TEST(MetricsCatalog, EveryIdHasAName) {
   for (int i = 0; i < kNumHistogramIds; ++i) {
     EXPECT_STRNE(HistogramName(static_cast<HistogramId>(i)), "") << "histogram " << i;
   }
-  for (int i = 1; i < static_cast<int>(FrEvent::kInvariantFail) + 1; ++i) {
+  for (int i = 1; i < kNumFrEvents; ++i) {
     EXPECT_STRNE(FrEventName(static_cast<FrEvent>(i)), "") << "fr event " << i;
   }
 }
@@ -187,6 +187,35 @@ TEST(FlightRecorder, WrapAroundKeepsNewestWindow) {
   }
 }
 
+TEST(FlightRecorder, RetainAllGrowsInsteadOfWrapping) {
+  std::uint64_t tick = 0;
+  FlightRecorder rec(/*shard=*/1, /*capacity=*/8, /*retain_all=*/true);
+  rec.SetClock(&CountingClock, &tick);
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    rec.Record(FrEvent::kMsgSend, /*a=*/i, /*b=*/0, /*id=*/1000 + i);
+  }
+  EXPECT_EQ(rec.total(), 100u);
+  EXPECT_EQ(rec.dropped(), 0u);
+  EXPECT_GE(rec.capacity(), 100u);
+
+  const std::vector<FlightRecord> all = rec.SnapshotRecords();
+  ASSERT_EQ(all.size(), 100u);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(all[i].seq, i);
+    EXPECT_EQ(all[i].a, i);
+    EXPECT_EQ(all[i].id, 1000 + i);
+  }
+
+  // The default ring mode still wraps at the same capacity.
+  FlightRecorderHub ring_hub(/*shards=*/1, /*capacity_per_shard=*/8);
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    ring_hub.recorder(0).Record(FrEvent::kMsgSend, i);
+  }
+  EXPECT_EQ(ring_hub.recorder(0).dropped(), 100u - 8u);
+  EXPECT_EQ(ring_hub.TotalDropped(), 100u - 8u);
+  EXPECT_EQ(ring_hub.Merged().size(), 8u);
+}
+
 TEST(FlightRecorder, CapacityRoundsUpToPowerOfTwo) {
   FlightRecorder rec(0, /*capacity=*/100);
   EXPECT_EQ(rec.capacity(), 128u);
@@ -236,8 +265,8 @@ TEST(FlightRecorder, DumpsAreDeterministic) {
     hub.SetClockAll(&CountingClock, &tick);
     hub.recorder(0).Record(FrEvent::kMailboxPush, 1);
     hub.recorder(1).Record(FrEvent::kBackpressure, 0, 17);
-    hub.recorder(0).Record(FrEvent::kMigrationPhase,
-                           static_cast<std::uint64_t>(FrMigrationEdge::kAccepted), 42);
+    hub.recorder(0).Record(FrEvent::kOfferSent, /*a=*/1, /*b=*/4096,
+                           MigrationSpanId(ProcessId{0, 42}));
     hub.Trigger("invariant failure");
     return hub.Merged();
   };
@@ -252,14 +281,17 @@ TEST(FlightRecorder, DumpsAreDeterministic) {
   EXPECT_NE(text_a.str().find("invariant failure"), std::string::npos);
   EXPECT_NE(text_a.str().find(FrEventName(FrEvent::kBackpressure)), std::string::npos);
 
+  // Operands print under their catalog names; the span id decodes to a pid.
+  EXPECT_NE(text_a.str().find("offer_sent pid=p0.42 dest=1 bytes=4096"), std::string::npos)
+      << text_a.str();
+
   std::ostringstream trace_a;
   std::ostringstream trace_b;
-  WriteFlightChromeTrace(a, trace_a);
-  WriteFlightChromeTrace(b, trace_b);
+  WriteChromeTrace(a, trace_a);
+  WriteChromeTrace(b, trace_b);
   EXPECT_EQ(trace_a.str(), trace_b.str());
   EXPECT_NE(trace_a.str().find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(trace_a.str().find(FrMigrationEdgeName(FrMigrationEdge::kAccepted)),
-            std::string::npos);
+  EXPECT_NE(trace_a.str().find("\"offer_sent\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -407,63 +439,8 @@ TEST(MetricsSampler, CollectsPeriodicSamplesAndRunsCollector) {
 }
 
 // ---------------------------------------------------------------------------
-// Clock normalization.
-// ---------------------------------------------------------------------------
-
-TraceEvent EventAt(MachineId machine, SimTime ts, const char* name) {
-  TraceEvent ev;
-  ev.ts = ts;
-  ev.machine = machine;
-  ev.category = trace::kMessage;
-  ev.name = name;
-  return ev;
-}
-
-TEST(NormalizeShardClocks, RebasesSkewedShardsOntoOneAxis) {
-  // Shard 1's thread started 1ms of real time after shard 0, but both virtual
-  // clocks read 100us when their events fired.  Raw merge would interleave
-  // them as simultaneous; normalization must put shard 1's event 1ms later.
-  const std::vector<ClockSyncPoint> syncs = {
-      {/*machine=*/0, /*virt_us=*/0, /*real_ns=*/1'000'000},
-      {/*machine=*/1, /*virt_us=*/0, /*real_ns=*/2'000'000},
-  };
-  const std::vector<TraceEvent> events = {
-      EventAt(0, 100, "a"),
-      EventAt(1, 100, "b"),
-  };
-  const std::vector<TraceEvent> out = NormalizeShardClocks(events, syncs);
-  ASSERT_EQ(out.size(), 2u);
-  // Epoch = shard 0's first sync; 1:1 extrapolation past the single point.
-  EXPECT_EQ(out[0].ts, 100u);
-  EXPECT_STREQ(out[0].name, "a");
-  EXPECT_EQ(out[1].ts, 1100u);
-  EXPECT_STREQ(out[1].name, "b");
-}
-
-TEST(NormalizeShardClocks, InterpolatesBetweenSyncPoints) {
-  // Shard 0's virtual clock ran at half real speed between the two syncs:
-  // 1000 virtual us spanned 2000 real us.
-  const std::vector<ClockSyncPoint> syncs = {
-      {0, 0, 1'000'000},
-      {0, 1000, 3'000'000},
-  };
-  const std::vector<TraceEvent> events = {EventAt(0, 500, "mid")};
-  const std::vector<TraceEvent> out = NormalizeShardClocks(events, syncs);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].ts, 1000u);  // (2'000'000ns - epoch) / 1000
-}
-
-TEST(NormalizeShardClocks, MachinesWithoutSyncsPassThrough) {
-  const std::vector<ClockSyncPoint> syncs = {{0, 0, 5'000'000}};
-  const std::vector<TraceEvent> events = {EventAt(7, 42, "lonely")};
-  const std::vector<TraceEvent> out = NormalizeShardClocks(events, syncs);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].ts, 42u);
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end: a real parallel run populates the metrics, the flight
-// recorder, and normalized traces.
+// End-to-end: a real parallel run populates the metrics and the flight
+// recorder; tracing on keeps every shard's message lifecycle.
 // ---------------------------------------------------------------------------
 
 class ObservabilityIntegrationTest : public ::testing::Test {
@@ -516,13 +493,68 @@ TEST_F(ObservabilityIntegrationTest, ParallelRunPopulatesMetricsAndRecorder) {
     EXPECT_LE(merged[i - 1].t_ns, merged[i].t_ns);
   }
 
-  // Normalized trace: non-empty, time-sorted, every shard present.
-  const Tracer normalized = cluster.TotalTraceNormalized();
-  const std::vector<TraceEvent>& events = normalized.events();
-  ASSERT_FALSE(events.empty());
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_LE(events[i - 1].ts, events[i].ts);
+  // Traced: nothing wrapped, and every shard recorded both ends of its
+  // messages' lifecycles on the shared steady_clock axis.
+  EXPECT_EQ(cluster.flight_recorder()->TotalDropped(), 0u);
+  for (std::uint16_t shard = 0; shard < 2; ++shard) {
+    for (const FrEvent type : {FrEvent::kMsgSend, FrEvent::kMsgDeliver}) {
+      EXPECT_TRUE(std::any_of(merged.begin(), merged.end(),
+                              [shard, type](const FlightRecord& r) {
+                                return r.shard == shard && r.type == type && r.id != 0;
+                              }))
+          << "shard " << shard << " has no " << FrEventName(type) << " record";
+    }
   }
+}
+
+TEST_F(ObservabilityIntegrationTest, UntracedParallelRunRecordsNoMessageLifecycle) {
+  // Tracing off: the always-on ring sees runtime events but no per-message
+  // record ever reaches it (messages carry no trace id), so the hot path pays
+  // no lifecycle recording.
+  ParallelClusterConfig pc;
+  pc.machines = 2;
+  ParallelCluster cluster(pc);
+
+  TokenRingSpec spec;
+  spec.rings = 2;
+  spec.nodes_per_ring = 4;
+  spec.tokens_per_node = 1;
+  spec.hops_per_token = 50;
+  const std::vector<TokenRing> rings = BuildTokenRings(cluster, spec);
+  ASSERT_FALSE(rings.empty());
+  KickTokenRings(cluster, rings, spec.tokens_per_node, spec.hops_per_token);
+  ASSERT_TRUE(cluster.RunUntilQuiescent(std::chrono::milliseconds(30000)));
+  cluster.Stop();
+
+  ASSERT_NE(cluster.flight_recorder(), nullptr);
+  const std::vector<FlightRecord> merged = cluster.flight_recorder()->Merged();
+  EXPECT_FALSE(merged.empty());
+  for (const FlightRecord& r : merged) {
+    EXPECT_NE(FrCategoryOf(r.type), FrCategory::kMessage) << FrEventName(r.type);
+  }
+}
+
+TEST_F(ObservabilityIntegrationTest, IdleTracedParallelRunDoesNotGrowItsRecorders) {
+  // A traced recorder keeps everything, so it must grow with work, not with
+  // idle wall time: an idle shard wakes every idle_park, but only its first
+  // idle pass records a vote and a park.
+  ParallelClusterConfig pc;
+  pc.machines = 2;
+  pc.trace_enabled = true;
+  ParallelCluster cluster(pc);
+  cluster.Start();
+  std::this_thread::sleep_for(pc.idle_park * 100);
+  cluster.Stop();
+
+  ASSERT_NE(cluster.flight_recorder(), nullptr);
+  std::size_t votes = 0;
+  std::size_t parks = 0;
+  for (const FlightRecord& r : cluster.flight_recorder()->Merged()) {
+    votes += r.type == FrEvent::kQuiescenceVote ? 1 : 0;
+    parks += r.type == FrEvent::kParkBegin ? 1 : 0;
+  }
+  EXPECT_LE(votes, static_cast<std::size_t>(pc.machines));
+  EXPECT_LE(parks, static_cast<std::size_t>(pc.machines));
 }
 
 TEST_F(ObservabilityIntegrationTest, FailingChaosSeedCarriesDeterministicFlightDump) {
@@ -532,7 +564,6 @@ TEST_F(ObservabilityIntegrationTest, FailingChaosSeedCarriesDeterministicFlightD
   // recorder is stamped with the virtual clock, so two replays of the same
   // seed must dump byte-identically.
   ChaosOptions broken;
-  broken.collect_trace = false;
   ChaosScenario failing;
   bool found = false;
   for (std::uint64_t seed = 1; seed <= 64 && !found; ++seed) {

@@ -1,7 +1,8 @@
-// Tests for the src/obs tracing subsystem: span reconstruction under
-// concurrent migrations, message forwarding-hop tracking across a 3-machine
-// chain, the disabled-tracer zero-event guarantee, and Chrome trace_event
-// JSON well-formedness.
+// Tests for tracing (the flight recorder in retain-all mode, analysed by
+// src/obs/trace_export.h): span reconstruction under concurrent migrations,
+// message forwarding-hop tracking across a 3-machine chain, the tracing-off
+// no-recorder guarantee, and Chrome trace_event JSON well-formedness in both
+// engines.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "src/kernel/cluster.h"
 #include "src/obs/trace.h"
 #include "src/obs/trace_export.h"
+#include "src/run/parallel_cluster.h"
 #include "tests/test_util.h"
 
 namespace demos {
@@ -23,6 +25,9 @@ ClusterConfig TracedConfig(int machines) {
   config.EnableTracing();
   return config;
 }
+
+// The whole traced timeline of an engine.
+std::vector<FlightRecord> Trace(Engine& engine) { return engine.flight_recorder()->Merged(); }
 
 // ---------------------------------------------------------------------------
 // Minimal JSON syntax checker (objects, arrays, strings, numbers, literals).
@@ -192,9 +197,9 @@ TEST(TraceTest, DisabledTracerRecordsNothing) {
   testutil::MigrateAndSettle(cluster, proc->pid, 0, 1);
 
   EXPECT_EQ(cluster.HostOf(proc->pid), 1);
-  EXPECT_TRUE(cluster.TotalTrace().empty());
-  EXPECT_FALSE(cluster.kernel(0).tracer().enabled());
-  EXPECT_FALSE(cluster.network().tracer().enabled());
+  // No recorder anywhere: the kernels, network and reliable channel all
+  // record into the engine's hub, which tracing off does not build.
+  EXPECT_EQ(cluster.flight_recorder(), nullptr);
 }
 
 TEST(TraceTest, SingleMigrationYieldsAllEightPhases) {
@@ -206,10 +211,11 @@ TEST(TraceTest, SingleMigrationYieldsAllEightPhases) {
   cluster.RunUntilIdle();
   testutil::MigrateAndSettle(cluster, proc->pid, 0, 1);
 
-  Tracer total = cluster.TotalTrace();
-  ASSERT_FALSE(total.empty());
+  const std::vector<FlightRecord> records = Trace(cluster);
+  ASSERT_FALSE(records.empty());
+  EXPECT_EQ(cluster.flight_recorder()->TotalDropped(), 0u);
 
-  auto spans = BuildMigrationSpans(total.events());
+  auto spans = BuildMigrationSpans(records);
   ASSERT_EQ(spans.size(), 1u);
   const MigrationSpan& span = spans[0];
   EXPECT_TRUE(span.completed);
@@ -262,7 +268,7 @@ TEST(TraceTest, ConcurrentMigrationsReconstructIndependently) {
   EXPECT_EQ(cluster.HostOf(p0->pid), 2);
   EXPECT_EQ(cluster.HostOf(p1->pid), 2);
 
-  auto spans = BuildMigrationSpans(cluster.TotalTrace().events());
+  auto spans = BuildMigrationSpans(Trace(cluster));
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_NE(spans[0].id, spans[1].id);
   for (const MigrationSpan& span : spans) {
@@ -296,7 +302,7 @@ TEST(TraceTest, ForwardingChainRecordsHops) {
   cluster.kernel(0).SendFromKernel(ProcessAddress{0, proc->pid}, kIncrement, {});
   cluster.RunUntilIdle();
 
-  auto messages = BuildMessageTraces(cluster.TotalTrace().events());
+  auto messages = BuildMessageTraces(Trace(cluster));
   std::uint32_t max_hops = 0;
   bool delivered_with_hops = false;
   for (const MessageTrace& msg : messages) {
@@ -311,7 +317,7 @@ TEST(TraceTest, ForwardingChainRecordsHops) {
 
   // The same fact lands in the derived histogram.
   StatsRegistry derived;
-  BuildTraceStats(cluster.TotalTrace().events(), &derived);
+  BuildTraceStats(Trace(cluster), &derived);
   EXPECT_GE(derived.Histogram(HistId::kForwardHops).max, 2u);
 }
 
@@ -325,7 +331,7 @@ TEST(TraceTest, ChromeTraceJsonIsWellFormed) {
   testutil::MigrateAndSettle(cluster, proc->pid, 0, 1);
 
   std::ostringstream out;
-  WriteChromeTrace(cluster.TotalTrace().events(), out);
+  WriteChromeTrace(Trace(cluster), out);
   const std::string json = out.str();
 
   EXPECT_TRUE(JsonChecker(json).Valid()) << json.substr(0, 400);
@@ -345,13 +351,55 @@ TEST(TraceTest, SummaryMentionsEveryPhase) {
   testutil::MigrateAndSettle(cluster, proc->pid, 0, 1);
 
   std::ostringstream out;
-  WriteTraceSummary(cluster.TotalTrace().events(), out);
+  WriteTraceSummary(Trace(cluster), out);
   const std::string text = out.str();
   for (int i = 0; i < kNumMigrationPhases; ++i) {
     EXPECT_NE(text.find(MigrationPhaseName(static_cast<MigrationPhaseKind>(i))),
               std::string::npos)
         << "summary missing phase " << i;
   }
+}
+
+TEST(TraceTest, ParallelChromeTraceHasMigrationSpans) {
+  // The parallel engine stamps records with steady_clock, one axis across
+  // shards, so a traced migration reconstructs straight from the merge.
+  testutil::RegisterPrograms();
+  ParallelClusterConfig config;
+  config.machines = 2;
+  config.trace_enabled = true;
+  ParallelCluster cluster(config);
+  auto proc = cluster.kernel(0).SpawnProcess("counter", 4096, 2048, 1024);
+  ASSERT_TRUE(proc.ok());
+  cluster.Start();
+  ASSERT_TRUE(cluster.RunUntilQuiescent(std::chrono::milliseconds(30000)));
+  cluster.Post(0, [&cluster, pid = proc->pid] {
+    (void)cluster.kernel(0).StartMigration(pid, 1, cluster.kernel(0).kernel_address());
+  });
+  ASSERT_TRUE(cluster.RunUntilQuiescent(std::chrono::milliseconds(30000)));
+  cluster.Stop();
+  ASSERT_EQ(cluster.HostOf(proc->pid), 1);
+
+  const std::vector<FlightRecord> records = Trace(cluster);
+  const std::vector<MigrationSpan> spans = BuildMigrationSpans(records);
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_TRUE(spans[0].completed);
+  EXPECT_EQ(spans[0].source, 0);
+  EXPECT_EQ(spans[0].destination, 1);
+
+  std::ostringstream out;
+  WriteChromeTrace(records, out);
+  const std::string json = out.str();
+  EXPECT_TRUE(JsonChecker(json).Valid()) << json.substr(0, 400);
+  EXPECT_NE(json.find("\"migration_begin\""), std::string::npos);
+  EXPECT_NE(json.find("\"restarted\""), std::string::npos);
+  bool timed_span = false;
+  for (std::size_t at = json.find("\"ph\":\"X\""); at != std::string::npos;
+       at = json.find("\"ph\":\"X\"", at + 1)) {
+    const std::size_t dur = json.find("\"dur\":", at);
+    ASSERT_NE(dur, std::string::npos);
+    timed_span = timed_span || std::stoull(json.substr(dur + 6)) > 0;
+  }
+  EXPECT_TRUE(timed_span);
 }
 
 }  // namespace

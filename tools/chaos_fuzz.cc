@@ -168,19 +168,19 @@ void PrintFailure(const Options& opts, const demos::ChaosScenario& scenario,
 // Trim the cluster timeline to the violation's cast of characters and write a
 // Chrome trace (chrome://tracing, perfetto.dev).
 void WriteTrimmedTrace(const demos::ChaosResult& result, const std::string& path) {
-  const std::vector<demos::TraceEvent> trimmed =
-      demos::FilterTrace(result.trace, result.suspect_trace_ids, result.suspect_pids);
-  const std::vector<demos::TraceEvent>& events = trimmed.empty() ? result.trace : trimmed;
-  if (demos::WriteChromeTraceFile(events, path)) {
-    std::printf("trace: %s (%zu events)\n", path.c_str(), events.size());
+  const std::vector<demos::FlightRecord> trimmed =
+      demos::FilterTrace(result.flight, result.suspect_trace_ids, result.suspect_pids);
+  const std::vector<demos::FlightRecord>& records = trimmed.empty() ? result.flight : trimmed;
+  if (demos::WriteChromeTraceFile(records, path)) {
+    std::printf("trace: %s (%zu events)\n", path.c_str(), records.size());
   } else {
     std::fprintf(stderr, "failed to write trace to %s\n", path.c_str());
   }
 }
 
-// Flight-recorder post-mortem: the merged last-N-events window every kernel
-// kept while the scenario ran, as text and as a Chrome trace.
-void WriteFlightDumps(const demos::ChaosResult& result, const std::string& stem) {
+// Post-mortem text dump of the whole merged timeline, headed by the latched
+// trigger reason.
+void WriteFlightDump(const demos::ChaosResult& result, const std::string& stem) {
   if (result.flight.empty()) {
     return;
   }
@@ -190,9 +190,6 @@ void WriteFlightDumps(const demos::ChaosResult& result, const std::string& stem)
                 result.flight.size(), reason);
   } else {
     std::fprintf(stderr, "failed to write flight dump to %s.flightrec.txt\n", stem.c_str());
-  }
-  if (!demos::WriteFlightChromeTraceFile(result.flight, stem + ".flightrec.trace.json")) {
-    std::fprintf(stderr, "failed to write flight trace to %s.flightrec.trace.json\n", stem.c_str());
   }
 }
 
@@ -208,7 +205,7 @@ void RecordArtifacts(const Options& opts, const demos::ChaosScenario& scenario,
   seeds << scenario.seed << "\n";
   const std::string stem = dir + "seed_" + std::to_string(scenario.seed);
   WriteTrimmedTrace(result, stem + ".trace.json");
-  WriteFlightDumps(result, stem);
+  WriteFlightDump(result, stem);
 }
 
 // Runs one seed; returns true iff it passed.
@@ -222,7 +219,7 @@ bool RunSeed(const Options& opts, std::uint64_t seed) {
   }
   demos::ChaosOptions run_opts;
   run_opts.engine = opts.engine;
-  run_opts.collect_trace = !opts.trace_out.empty() || !opts.artifacts_dir.empty();
+  run_opts.collect_flight = !opts.trace_out.empty() || !opts.artifacts_dir.empty();
   const demos::ChaosResult result = demos::RunScenario(scenario, run_opts);
   if (result.ok()) {
     if (opts.verbose) {
