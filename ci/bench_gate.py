@@ -75,7 +75,7 @@ def main():
 
     # sync_overhead_ratio: sync-on vs free-running parallel msgs/sec at 4
     # shards.  Additive field -- absent in a baseline recorded before the
-    # adaptive-lookahead work: record the fresh value, don't fail; the next
+    # bench had a --sync axis: record the fresh value, don't fail; the next
     # re-baseline picks it up.  Absent in the *current* run only when the run
     # skipped a sync axis (--sync=off/on), which is fine for ad-hoc runs but
     # means the gate has nothing to check.

@@ -182,6 +182,13 @@ void ClusterChecker::OnPendingResend(MachineId machine, const Message& msg) {
   }
 }
 
+void ClusterChecker::OnBounceResend(MachineId machine, const Message& msg) {
+  // Path only: last_dest/last_hop, which the dead-machine loss exemption
+  // reads, stay as the bounce left them.
+  std::lock_guard<std::mutex> lock(mu_);
+  ExtendPath(msg.trace_id, machine);
+}
+
 void ClusterChecker::OnMigrationFrozen(MachineId source, MachineId dest,
                                        const ProcessRecord& record, const PayloadRef& resident,
                                        const PayloadRef& swappable, const PayloadRef& image) {

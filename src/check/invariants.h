@@ -15,7 +15,10 @@
 //                     traversed the same machine path are consumed in send
 //                     order.  (Messages on *different* paths -- e.g. one
 //                     raced through a forwarding chain while a later one went
-//                     direct after link update -- carry no ordering promise.)
+//                     direct after link update -- carry no ordering promise.
+//                     A sender kernel's re-send of a bounced message is a
+//                     hop of its path, so return-to-sender mode promises
+//                     per-route FIFO, as forwarding mode does.)
 //   I3 held-order     messages frozen in a migrating process's pending queue
 //                     are consumed at the destination in their frozen order
 //                     (the step-6 re-send preserves the queue).
@@ -121,6 +124,7 @@ class ClusterChecker : public KernelObserver {
   void OnMessageForward(MachineId machine, const Message& msg, MachineId next) override;
   void OnMessageBounce(MachineId machine, const Message& msg) override;
   void OnPendingResend(MachineId machine, const Message& msg) override;
+  void OnBounceResend(MachineId machine, const Message& msg) override;
   void OnMigrationFrozen(MachineId source, MachineId dest, const ProcessRecord& record,
                          const PayloadRef& resident, const PayloadRef& swappable,
                          const PayloadRef& image) override;

@@ -510,6 +510,8 @@ void Kernel::FinishMigrationAtSource(const ProcessId& pid) {
     if (observer_ != nullptr && pending.trace_id != 0) {
       observer_->OnPendingResend(machine_, pending);
     }
+    RecordEvent(FrEvent::kMsgPendingResend, pending.trace_id,
+                pending.receiver.last_known_machine);
     Transmit(std::move(pending));
   }
   RecordEvent(FrEvent::kPendingForwarded, MigrationSpanId(pid), pending_count);
@@ -796,6 +798,8 @@ void Kernel::ReapMigrationDest(const ProcessId& pid, const char* why) {
       if (observer_ != nullptr && pending.trace_id != 0) {
         observer_->OnPendingResend(machine_, pending);
       }
+      RecordEvent(FrEvent::kMsgPendingResend, pending.trace_id,
+                  pending.receiver.last_known_machine);
       Transmit(std::move(pending));
     }
     const std::uint64_t footprint =
@@ -1040,6 +1044,13 @@ void Kernel::HandleNotDeliverable(Message msg, MachineId wire_src) {
     return;
   }
   Message original = std::move(bounced).value();
+  // Taking the message back is a hop of its path (I2, docs/TESTING.md): a
+  // bounced message's detour through here must not hash like a held
+  // message's direct re-send from the stale host.
+  if (observer_ != nullptr && original.trace_id != 0) {
+    observer_->OnBounceResend(machine_, original);
+  }
+  RecordEvent(FrEvent::kMsgBounceResend, original.trace_id, original.hop_count);
   original.hop_count++;
   if (original.hop_count >= kMaxForwardHops) {
     if (original.sender.valid() && !IsKernelPid(original.sender.pid)) {

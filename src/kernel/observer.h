@@ -52,6 +52,11 @@ class KernelObserver {
   // re-transmitted from `machine` (migration step 6).
   virtual void OnPendingResend(MachineId machine, const Message& msg) {}
 
+  // The kernel at `machine` took back a bounced message (a NOT_DELIVERABLE
+  // carrying it arrived) to re-route it: the sender-side re-send is one more
+  // hop of the message's path.
+  virtual void OnBounceResend(MachineId machine, const Message& msg) {}
+
   // Migration step 1-2 boundary: `record` was frozen at `source` for transfer
   // to `dest`; the three serialized sections are exactly what MOVE_DATA will
   // stream.  `record.queue` is the pending queue as frozen.

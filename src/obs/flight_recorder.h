@@ -106,6 +106,8 @@ enum class FrCategory : std::uint8_t {
   X(kMsgSend, "send", kMessage, "type", "wire_bytes")                                  \
   X(kMsgForward, "forward", kMessage, "hops", "next")                                  \
   X(kMsgBounce, "bounce", kMessage, "type", nullptr)                                   \
+  X(kMsgPendingResend, "pending_resend", kMessage, "dest", nullptr)                    \
+  X(kMsgBounceResend, "bounce_resend", kMessage, "hops", nullptr)                      \
   X(kMsgDeliver, "deliver", kMessage, "hops", nullptr)                                 \
   X(kLinkUpdateSent, "link_update_sent", kMessage, nullptr, "new_machine")             \
   X(kLinkUpdateApplied, "link_update_applied", kMessage, "links_patched", nullptr)     \

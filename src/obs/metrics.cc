@@ -55,8 +55,6 @@ const char* CounterName(CounterId id) {
       return "pool_misses";
     case CounterId::kWideWindowsOpened:
       return "wide_windows_opened";
-    case CounterId::kLookaheadShrinks:
-      return "lookahead_shrinks";
     case CounterId::kWideFramesClamped:
       return "wide_frames_clamped";
     case CounterId::kNumCounters:

@@ -74,10 +74,8 @@ enum class CounterId : int {
   kNotifiesElided,     // publishes that skipped notify: consumer already awake
   kPoolHits,           // pooled allocations served from a free-list
   kPoolMisses,         // pooled allocations that fell back to the heap
-  // Adaptive lookahead (relaxed LBTS windows; src/run/virtual_time.h).
+  // Wide LBTS windows (src/run/virtual_time.h).
   kWideWindowsOpened,  // windows opened wider than the static bound (coordinator slot)
-  kLookaheadShrinks,   // learned-lookahead walk-backs: a shorter send gap or a
-                       // tight collapse shrank the published estimate
   kWideFramesClamped,  // arrivals clamped to the receiver's clock after a wide
                        // window opened -- the bounded, expected residue of
                        // relaxed timing (sync_frames_clamped stays the strict

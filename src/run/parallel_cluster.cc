@@ -63,40 +63,20 @@ ParallelCluster::ParallelCluster(ParallelClusterConfig config) : config_(config)
   // when the shard clocks agree, so arming any phase forces sync on.
   sync_enabled_ = config.sync.enabled || DeadlinesArmed(config.kernel);
   if (sync_enabled_) {
-    latency_ = std::make_unique<LinkLatencyTable>(config.machines,
-                                                  config.sync.min_link_latency_us);
-    for (const auto& link : config.sync.links) {
-      if (link.src < static_cast<MachineId>(config.machines) &&
-          link.dst < static_cast<MachineId>(config.machines)) {
-        latency_->SetLink(link.src, link.dst, link.min_latency_us);
-      }
-    }
+    lookahead_ = std::max<SimDuration>(config.sync.min_link_latency_us, 1);
     lbts_ = std::make_unique<LbtsState>(config.machines);
-    // Adaptive lookahead: relaxed windows are capped at wide_window_spans x
-    // the static base span, and -- when deadline watchdogs can arm -- at a
-    // quarter of the shortest armed deadline, so the one-window clock skew a
-    // wide era can leave behind stays far below anything a watchdog measures.
-    const SimDuration base = latency_->MinLookahead();
-    SimDuration wide_span =
-        static_cast<SimDuration>(config.sync.wide_window_spans) * base;
+    // Wide windows are capped at wide_window_spans x the lookahead, and --
+    // when deadline watchdogs can arm -- at a quarter of the shortest armed
+    // deadline, so the one-window clock skew a wide era can leave behind
+    // stays far below anything a watchdog measures.
+    SimDuration wide_span = static_cast<SimDuration>(config.sync.wide_window_spans) * lookahead_;
     if (wide_span > 0 && DeadlinesArmed(config.kernel)) {
       wide_span = std::min(wide_span, MinArmedDeadline(config.kernel) / 4);
     }
-    if (wide_span <= base) {
+    if (wide_span <= lookahead_) {
       wide_span = 0;  // no wider than a tight window: relaxing buys nothing
     }
     wide_span_ = wide_span;
-    if (wide_span_ > 0) {
-      // Keep the learned-lookahead ceiling consistent with the wide-span cap
-      // (both feed the same skew bound).
-      const std::uint32_t span_cap =
-          static_cast<std::uint32_t>(std::min<SimDuration>(wide_span_ / base, 1u << 20));
-      const std::uint32_t growth_cap =
-          std::max(1u, std::min(config.sync.lookahead_growth_cap, span_cap));
-      adaptive_ = std::make_unique<AdaptiveLookahead>(*latency_, growth_cap,
-                                                      config.sync.lookahead_window);
-      router_->SetLookahead(adaptive_.get());
-    }
   }
   shards_.reserve(static_cast<std::size_t>(config.machines));
   for (int i = 0; i < config.machines; ++i) {
@@ -243,7 +223,7 @@ std::size_t ParallelCluster::DrainPosted(Shard& shard) {
 
 void ParallelCluster::ScheduleDelivery(Shard& shard, MachineId src, SimTime send_ts,
                                        PayloadRef payload) {
-  SimTime arrival = send_ts + latency_->Latency(src, shard.machine);
+  SimTime arrival = send_ts + lookahead_;
   if (arrival < shard.queue.Now()) {
     // A frame from the receiver's virtual past.  Never deliver backwards in
     // time: clamp to now (exactly-once and per-link FIFO are unaffected) and
@@ -330,7 +310,6 @@ void ParallelCluster::ShardMainSync(Shard& shard) {
                                                      PayloadRef payload) {
     ScheduleDelivery(shard, src, send_ts, std::move(payload));
   };
-  bool was_tight = false;
   // As in ShardMain, keyed by window: a shard records one vote and park per
   // epoch it blocks in, however many idle_park timeouts that takes.
   std::uint64_t recorded_epoch = kNoEpoch;
@@ -350,17 +329,6 @@ void ParallelCluster::ShardMainSync(Shard& shard) {
       ++steps;
     }
     did += steps;
-    // Tight-consumer poll, every round and *before* this round's lanes
-    // publish: if an event above just started a migration, the learned
-    // lookahead collapses to the static minimum before the offer frame is
-    // even visible to its destination.
-    const bool tight = shard.kernel->NeedsTightTime();
-    if (tight && !was_tight && adaptive_ != nullptr) {
-      if (adaptive_->Collapse(me) && metrics != nullptr) {
-        metrics->Inc(CounterId::kLookaheadShrinks);
-      }
-    }
-    was_tight = tight;
     // Publish this round's staged lanes before the idle check: the LBTS
     // floors below must never be published while frames sit staged (a did==0
     // round staged nothing, so the order is safe).
@@ -391,7 +359,7 @@ void ParallelCluster::ShardMainSync(Shard& shard) {
     }
     fold_pool_stats();
     shard.idle.store(true, std::memory_order_seq_cst);
-    lbts_->PublishIdle(me, epoch, shard.queue.NextEventTime(), tight);
+    lbts_->PublishIdle(me, epoch, shard.queue.NextEventTime(), shard.kernel->NeedsTightTime());
     const bool record = recorded_epoch != epoch;
     if (Verify(record) != Verdict::kOpened) {
       router_->IdleWait(
@@ -469,11 +437,9 @@ ParallelCluster::Verdict ParallelCluster::VerifyLocked(bool record) {
     // Verified: every shard is blocked on the current window with these
     // floors, and nothing is in flight.  Either everything is drained or the
     // cluster earns the next window -- strictly conservative while any shard
-    // is tight, relaxed (learned lookahead + wide span) otherwise.
-    const std::vector<SimTime>& floors = views_[1].floors;
-    next = !views_[1].any_tight && wide_span_ > 0
-               ? lbts_->NextRelaxedBound(floors, *latency_, adaptive_.get(), wide_span_, &widened)
-               : lbts_->NextBound(floors, *latency_);
+    // is tight, wide otherwise.
+    next = lbts_->NextBound(views_[1].floors, lookahead_, views_[1].any_tight ? 0 : wide_span_,
+                            &widened);
   }
   if (next == kSimTimeNever) {
     // Drained.  Only a hint to RunUntilQuiescent, which re-verifies: these

@@ -28,7 +28,7 @@
 //     workload whose semantics are timing-independent.
 //   - Conservative sync: shard clocks advance only up to a cluster-wide
 //     lookahead bound (src/run/virtual_time.h), and cross-shard frames are
-//     delivered at send_ts + link latency on the receiver's clock.  No shard
+//     delivered at send_ts + the lookahead on the receiver's clock.  No shard
 //     ever receives a frame in its virtual past, which is what makes
 //     wall-clock policies -- MigrationDeadlines, suspect backoff -- fire for
 //     real reasons instead of clock skew.  Arming any migration deadline
@@ -98,25 +98,16 @@ struct ParallelClusterConfig {
   // against free-running clocks.
   struct TimeSyncConfig {
     bool enabled = false;
-    // Minimum virtual latency of every cross-shard link, and therefore the
+    // Virtual latency of every cross-shard frame, and therefore the
     // cluster's lookahead.  Clamped to >= 1us; larger values mean wider
     // windows (fewer sync rounds) but coarser delivery timing.
     SimDuration min_link_latency_us = 100;
-    // Per-link overrides (both directions must be set separately).
-    struct LinkOverride {
-      MachineId src = kNoMachine;
-      MachineId dst = kNoMachine;
-      SimDuration min_latency_us = 1;
-    };
-    std::vector<LinkOverride> links;
 
-    // ---- Adaptive lookahead (docs/PROTOCOL.md, "Adaptive lookahead"). ----
+    // ---- Wide windows (docs/PROTOCOL.md, "Wide windows"). ----
     // While no shard needs tight bounds (no migration in flight, no armed
     // deadline watchdog -- Kernel::NeedsTightTime), windows may open up to
-    // wide_window_spans x the static base lookahead past the minimum floor,
-    // and per-source lookahead follows the learned send-gap estimate instead
-    // of the static link minimum.  0 disables widening entirely (every
-    // window is strictly conservative -- the pre-adaptive behaviour).  When
+    // wide_window_spans x the lookahead past the minimum floor.  0 disables
+    // widening entirely (every window is strictly conservative).  When
     // deadlines are armed the effective wide span is additionally capped at
     // a quarter of the shortest armed deadline, so the one-window clock skew
     // a wide era can leave behind stays far below what a watchdog measures.
@@ -124,12 +115,6 @@ struct ParallelClusterConfig {
     // each window barrier costs real context switches, so span directly buys
     // throughput; the deadline/4 cap is what keeps tight-consumer runs honest.
     std::uint32_t wide_window_spans = 512;
-    // Ceiling on the learned per-link lookahead, as a multiple of the static
-    // link minimum.
-    std::uint32_t lookahead_growth_cap = 64;
-    // Sends per (src, dst) learning window: how much evidence one 2x growth
-    // step of the learned estimate requires.
-    std::uint32_t lookahead_window = 32;
   };
   TimeSyncConfig sync;
   // Wall-clock budget for RunUntilSettled (the Engine-interface entry point;
@@ -170,10 +155,8 @@ class ParallelCluster final : public Engine {
   EventQueue& queue(MachineId m) { return shards_[m]->queue; }
   ShardRouter& router() { return *router_; }
   bool sync_enabled() const { return sync_enabled_; }
-  // Sync-mode internals, exposed for tests; null in free-running mode (and
-  // adaptive_lookahead() also when wide_window_spans == 0).
+  // Sync-mode internals, exposed for tests; null in free-running mode.
   const LbtsState* lbts() const { return lbts_.get(); }
-  const AdaptiveLookahead* adaptive_lookahead() const { return adaptive_.get(); }
 
   // Launch the worker threads (idempotent).
   void Start();
@@ -239,7 +222,7 @@ class ParallelCluster final : public Engine {
   // current bound, or posted work.
   bool HasSyncWork(Shard& shard, std::uint64_t epoch);
   // Deferred delivery half of DrainTimed: schedule the frame's delivery at
-  // send_ts + link latency on the receiving shard's clock.
+  // send_ts + lookahead_ on the receiving shard's clock.
   void ScheduleDelivery(Shard& shard, MachineId src, SimTime send_ts, PayloadRef payload);
   std::size_t DrainPosted(Shard& shard);
   Snapshot TakeSnapshot() const;
@@ -258,9 +241,9 @@ class ParallelCluster final : public Engine {
   std::vector<std::unique_ptr<Shard>> shards_;
   // Conservative-sync state; null in free-running mode.
   bool sync_enabled_ = false;
-  std::unique_ptr<LinkLatencyTable> latency_;
+  // Virtual latency of every cross-shard frame (>= 1us), the LBTS lookahead.
+  SimDuration lookahead_ = 1;
   std::unique_ptr<LbtsState> lbts_;
-  std::unique_ptr<AdaptiveLookahead> adaptive_;
   // Effective wide-window span in virtual us (0 = widening disabled).
   SimDuration wide_span_ = 0;
   std::atomic<bool> stop_{false};

@@ -104,13 +104,6 @@ void ShardRouter::Send(MachineId src, MachineId dst, PayloadRef payload) {
     return;
   }
 
-  // Running-engine sends feed the adaptive-lookahead learner (src-owned
-  // state; staging-mode sends are skipped above, their timestamps are not
-  // real traffic gaps).
-  if (lookahead_ != nullptr && lookahead_->Observe(src, dst, send_ts) && metrics != nullptr) {
-    metrics->Inc(CounterId::kLookaheadShrinks);
-  }
-
   Outbox& outbox = *outboxes_[src];
   std::unique_ptr<Batch>& lane = outbox.staged[dst];
   if (lane == nullptr) {

@@ -66,7 +66,6 @@ class MetricsEngine;
 class MetricShard;
 class FlightRecorder;
 class FlightRecorderHub;
-class AdaptiveLookahead;
 
 struct ShardRouterConfig {
   // Mailbox ring capacity per shard (rounded up to a power of two).
@@ -130,17 +129,9 @@ class ShardRouter final : public Transport {
   // Register the virtual clock that stamps frames sent *by* `node`.  Every
   // frame carries the sender's EventQueue::Now() at Send time, which is what
   // lets the conservative-sync drain path schedule the delivery at
-  // send_ts + link latency on the receiver's clock.  Unregistered senders
+  // send_ts + the sync lookahead on the receiver's clock.  Unregistered senders
   // (standalone router tests, harness staging) stamp 0.  Set before Start.
   void SetClock(MachineId node, const EventQueue* clock);
-
-  // Feed every batched Send's (src, dst, send_ts) into the adaptive-lookahead
-  // learner (src/run/virtual_time.h).  May be null (the default); set before
-  // Start, never while shard threads run.  Observe() mutates only src-owned
-  // state, which the Send threading contract already guarantees.  A shrink
-  // (the learner walked its estimate back) is counted to the sending shard as
-  // lookahead_shrinks.
-  void SetLookahead(AdaptiveLookahead* lookahead) { lookahead_ = lookahead; }
 
   // ---- Consumer side; every call below is shard-thread-only for `node`. ----
   // Pop messages and run the attached handler on each; returns the number of
@@ -294,7 +285,6 @@ class ShardRouter final : public Transport {
   std::vector<const EventQueue*> clocks_;
   MetricsEngine* metrics_ = nullptr;
   FlightRecorderHub* flight_ = nullptr;
-  AdaptiveLookahead* lookahead_ = nullptr;
   std::atomic<std::uint64_t> sent_{0};
   std::atomic<std::uint64_t> consumed_{0};
   std::atomic<std::uint64_t> backpressure_hits_{0};

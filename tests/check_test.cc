@@ -52,8 +52,9 @@ TEST(ChaosScenarioTest, SameSeedDerivesSamePlan) {
 }
 
 TEST(ChaosScenarioTest, PathFifoReproSeedsDeriveTheirRecordedScenarios) {
-  // The seeds that reproduce the open return-to-sender path-FIFO failure.
-  // Their plans must stay put, draw for draw, or the repro lines go stale.
+  // The seeds that reproduced the return-to-sender path-FIFO failure (see
+  // ChaosHarnessTest.ReturnToSenderPathFifoSeedsPass).  Their plans must stay
+  // put, draw for draw, or the regression test stops covering them.
   struct Recorded {
     std::uint64_t seed;
     bool churn;
@@ -224,6 +225,35 @@ TEST(ChaosHarnessTest, PermanentDeathSeedsPass) {
                                      ? std::string("no detail")
                                      : result.violations.front().ToString());
     EXPECT_TRUE(result.quiescent) << "permadeath seed " << seed;
+  }
+}
+
+TEST(ChaosHarnessTest, ReturnToSenderPathFifoSeedsPass) {
+  // In each of these return-to-sender runs, m0 is held in a migrating
+  // receiver's pending queue and re-sent from the stale host straight to the
+  // new one, while the later m1 bounces off the stale host and is re-sent by
+  // the sender's kernel.  The two took different routes, so consuming m1
+  // first is no I2 violation -- the checker must count the sender-side
+  // re-send as a hop of m1's path.
+  struct Repro {
+    std::uint64_t seed;
+    bool churn;
+    bool permadeath;
+  };
+  const Repro repros[] = {{18468, false, false}, {1160, true, false}, {748, true, true},
+                          {1160, true, true}};
+  ChaosOptions quiet;
+  for (const Repro& r : repros) {
+    const ChaosScenario s =
+        r.churn ? ChurnScenarioFromSeed(r.seed, r.permadeath) : ScenarioFromSeed(r.seed);
+    ASSERT_FALSE(s.forwarding_mode) << "seed " << r.seed << " no longer runs return-to-sender";
+    const ChaosResult result = RunScenario(s, quiet);
+    EXPECT_TRUE(result.ok()) << "seed " << r.seed << " churn=" << r.churn
+                             << " permadeath=" << r.permadeath << ": "
+                             << (result.violations.empty()
+                                     ? std::string("no detail")
+                                     : result.violations.front().ToString());
+    EXPECT_TRUE(result.quiescent) << "seed " << r.seed;
   }
 }
 

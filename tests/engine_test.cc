@@ -306,11 +306,11 @@ TEST_F(EngineTest, LbtsEachWindowOpenedByExactlyOneShard) {
 }
 
 TEST_F(EngineTest, AdaptiveLbtsOpensWideWindowsAndKeepsDeliveryExact) {
-  // Default sync config: adaptive lookahead and wide windows are ON.  With no
-  // migration in flight no shard is ever tight, so the shards should be
-  // opening wide windows -- and every delivery must still be exactly-once,
-  // with clamped arrivals (if any) accounted as wide-era residue, never as a
-  // conservative-sync violation.
+  // Default sync config: wide windows are ON.  With no migration in flight
+  // no shard is ever tight, so the shards should be opening wide windows --
+  // and every delivery must still be exactly-once, with clamped arrivals (if
+  // any) accounted as wide-era residue, never as a conservative-sync
+  // violation.
   ParallelClusterConfig config;
   config.machines = 4;
   config.sync.enabled = true;

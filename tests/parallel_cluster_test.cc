@@ -735,11 +735,10 @@ TEST_F(ParallelClusterTest, StressMigrationStormWithDeadlinesArmed) {
   }
 }
 
-// The shrink-mid-storm proof for adaptive lookahead: migration-free traffic
-// runs first, so wide windows open and per-link estimates grow -- then the
-// storm starts.  The moment a shard's kernel holds a migration offer it
-// publishes tight, its learned lookahead collapses to the static minimum, and
-// the next window falls back to strictly conservative bounds.  Frames
+// The wide-to-tight proof for LBTS windows: migration-free traffic runs
+// first, so wide windows open -- then the storm starts.  The moment a shard's
+// kernel holds a migration offer it publishes tight at its next idle edge,
+// and the next window falls back to strictly conservative bounds.  Frames
 // timestamped inside the old wide windows must still land exactly once, no
 // healthy migration may trip its watchdog, and any clamp must be accounted as
 // wide-era residue, never as a conservative-sync violation.  TSan runs this
@@ -763,7 +762,7 @@ TEST_F(ParallelClusterTest, StressLookaheadShrinkMidStormKeepsExactlyOnce) {
   EXPECT_EQ(par.tokens_seen, ExpectedTokenReceptions(spec));
   EXPECT_EQ(par.bounced, 0);
   EXPECT_EQ(engine->TotalStat(stat::kMigrationsTimedOut), 0)
-      << "a deadline fired for a healthy migration under adaptive sync";
+      << "a deadline fired for a healthy migration under wide-window sync";
   for (const auto& [pid, count] : par.migrations) {
     EXPECT_EQ(count, spec.migrate_count) << "a migration chain stalled";
   }

@@ -1,6 +1,6 @@
 // Units for the conservative virtual-time sync layer (src/run/virtual_time.h)
 // and the pieces of EventQueue / ShardRouter it builds on: bounded stepping,
-// floors, link lookahead, the LBTS bound derivation, the busy/floor publish
+// floors, the LBTS bound derivation (strict and wide), the busy/floor publish
 // protocol, and timestamped frame draining.
 
 #include <gtest/gtest.h>
@@ -67,87 +67,55 @@ TEST(VirtualTimeQueueTest, PastSchedulesClampToNow) {
 }
 
 // ---------------------------------------------------------------------------
-// LinkLatencyTable: clamping, overrides, lookahead.
-// ---------------------------------------------------------------------------
-
-TEST(LinkLatencyTableTest, UniformLatencyAndZeroClamp) {
-  LinkLatencyTable table(3, /*uniform_us=*/100);
-  EXPECT_EQ(table.Latency(0, 1), 100u);
-  EXPECT_EQ(table.Latency(2, 0), 100u);
-  EXPECT_EQ(table.LookaheadFrom(1), 100u);
-
-  LinkLatencyTable clamped(2, /*uniform_us=*/0);
-  EXPECT_EQ(clamped.Latency(0, 1), 1u) << "zero lookahead would stall LBTS";
-  EXPECT_EQ(clamped.LookaheadFrom(0), 1u);
-}
-
-TEST(LinkLatencyTableTest, OverridesAreDirectionalAndShrinkLookahead) {
-  LinkLatencyTable table(3, /*uniform_us=*/100);
-  table.SetLink(0, 1, 10);
-  table.SetLink(1, 0, 0);  // clamps to 1
-  EXPECT_EQ(table.Latency(0, 1), 10u);
-  EXPECT_EQ(table.Latency(1, 0), 1u);
-  EXPECT_EQ(table.Latency(1, 2), 100u) << "override is per-link, not per-shard";
-  // Lookahead is the min over outgoing links.
-  EXPECT_EQ(table.LookaheadFrom(0), 10u);
-  EXPECT_EQ(table.LookaheadFrom(1), 1u);
-  EXPECT_EQ(table.LookaheadFrom(2), 100u);
-}
-
-TEST(LinkLatencyTableTest, CachedLookaheadTracksRaisedAndLoweredLinks) {
-  // LookaheadFrom is cached per source (NextBound used to rescan the full
-  // latency row per shard per window); SetLink must keep the cache exact in
-  // both directions, including raising the link that *was* the minimum.
-  LinkLatencyTable table(3, /*uniform_us=*/100);
-  table.SetLink(0, 1, 10);
-  EXPECT_EQ(table.LookaheadFrom(0), 10u);
-  table.SetLink(0, 2, 5);
-  EXPECT_EQ(table.LookaheadFrom(0), 5u);
-  table.SetLink(0, 2, 500);  // the old minimum goes away
-  EXPECT_EQ(table.LookaheadFrom(0), 10u) << "raising a link must rescan, not keep the stale min";
-  table.SetLink(0, 1, 700);
-  EXPECT_EQ(table.LookaheadFrom(0), 100u) << "all overrides above uniform: uniform wins";
-  EXPECT_EQ(table.MinLookahead(), 100u);
-  table.SetLink(2, 0, 3);
-  EXPECT_EQ(table.MinLookahead(), 3u);
-}
-
-// ---------------------------------------------------------------------------
 // LbtsState: bound derivation and the publish protocol.
 // ---------------------------------------------------------------------------
 
 TEST(LbtsStateTest, NextBoundIsMinFloorPlusLookaheadMinusOne) {
   LbtsState lbts(3);
-  LinkLatencyTable latency(3, /*uniform_us=*/100);
-  // floors 1000/5000/2000 with uniform 100us lookahead: bound = 1099.
-  const SimTime next = lbts.NextBound({1000, 5000, 2000}, latency);
-  EXPECT_EQ(next, 1099u);
+  bool widened = true;
+  // floors 1000/5000/2000 with a 100us lookahead: bound = 1099.
+  EXPECT_EQ(lbts.NextBound({1000, 5000, 2000}, /*lookahead=*/100, /*wide_span=*/0, &widened),
+            1099u);
+  EXPECT_FALSE(widened) << "a zero wide span is the strict bound";
+}
+
+TEST(LbtsStateTest, NextBoundClampsZeroLookaheadToOne) {
+  LbtsState lbts(2);
+  bool widened = true;
+  // A zero lookahead would pin the bound at min_floor - 1 and stall LBTS.
+  EXPECT_EQ(lbts.NextBound({400, 900}, /*lookahead=*/0, /*wide_span=*/0, &widened), 400u);
+  EXPECT_FALSE(widened);
 }
 
 TEST(LbtsStateTest, NextBoundSkipsDrainedShardsAndDetectsQuiescence) {
   LbtsState lbts(3);
-  LinkLatencyTable latency(3, /*uniform_us=*/50);
-  EXPECT_EQ(lbts.NextBound({kSimTimeNever, 400, kSimTimeNever}, latency), 449u);
-  EXPECT_EQ(lbts.NextBound({kSimTimeNever, kSimTimeNever, kSimTimeNever}, latency),
+  bool widened = true;
+  EXPECT_EQ(lbts.NextBound({kSimTimeNever, 400, kSimTimeNever}, 50, 0, &widened), 449u);
+  EXPECT_FALSE(widened);
+  EXPECT_EQ(lbts.NextBound({kSimTimeNever, 400, kSimTimeNever}, 50, 500, &widened), 899u)
+      << "a drained shard does not hold the wide bound back either";
+  EXPECT_TRUE(widened);
+  EXPECT_EQ(lbts.NextBound({kSimTimeNever, kSimTimeNever, kSimTimeNever}, 50, 0, &widened),
             kSimTimeNever)
       << "every queue drained = cluster quiescent";
+  EXPECT_FALSE(widened);
 }
 
 TEST(LbtsStateTest, NextBoundAlwaysAdvancesPastCurrentBound) {
   LbtsState lbts(2);
-  LinkLatencyTable latency(2, /*uniform_us=*/1);
+  bool widened = false;
   lbts.OpenWindow(500);
   // Degenerate floors at/below the bound still yield strict progress.
-  EXPECT_GT(lbts.NextBound({400, 300}, latency), 500u);
+  EXPECT_GT(lbts.NextBound({400, 300}, 1, 0, &widened), 500u);
 }
 
 TEST(LbtsStateTest, WindowSequenceNeverRegresses) {
   LbtsState lbts(2);
-  LinkLatencyTable latency(2, /*uniform_us=*/10);
+  bool widened = false;
   SimTime bound = lbts.bound();
   std::vector<SimTime> floors = {100, 130};
   for (int round = 0; round < 20; ++round) {
-    const SimTime next = lbts.NextBound(floors, latency);
+    const SimTime next = lbts.NextBound(floors, 10, 0, &widened);
     ASSERT_NE(next, kSimTimeNever);
     ASSERT_GT(next, bound) << "LBTS bound regressed at round " << round;
     lbts.OpenWindow(next);
@@ -156,6 +124,29 @@ TEST(LbtsStateTest, WindowSequenceNeverRegresses) {
     floors[1] = next + 5;
   }
   EXPECT_EQ(lbts.epoch(), 20u);
+}
+
+TEST(LbtsStateTest, RelaxedBoundNeverBelowTightAndReportsWidening) {
+  LbtsState lbts(2);
+  const std::vector<SimTime> floors = {1000, 2000};
+  bool widened = true;
+  ASSERT_EQ(lbts.NextBound(floors, 100, 0, &widened), 1099u);
+  EXPECT_FALSE(widened);
+  // A wide span measures from the minimum floor.
+  EXPECT_EQ(lbts.NextBound(floors, 100, 800, &widened), 1799u);
+  EXPECT_TRUE(widened);
+  // A wide span below the lookahead never narrows the strict bound.
+  EXPECT_EQ(lbts.NextBound(floors, 100, 50, &widened), 1099u);
+  EXPECT_FALSE(widened);
+}
+
+TEST(LbtsStateTest, RelaxedBoundPreservesQuiescenceSignal) {
+  LbtsState lbts(2);
+  bool widened = true;
+  EXPECT_EQ(lbts.NextBound({kSimTimeNever, kSimTimeNever}, 100, 1'000'000, &widened),
+            kSimTimeNever)
+      << "a wide span must not turn a quiescent cluster into a live one";
+  EXPECT_FALSE(widened);
 }
 
 TEST(LbtsStateTest, PublishProtocolVisibleToCoordinatorView) {
@@ -228,119 +219,6 @@ TEST(LbtsStateTest, EverWideLatchesOnFirstWideWindow) {
   EXPECT_TRUE(lbts.ever_wide());
   lbts.OpenWindow(3000);
   EXPECT_TRUE(lbts.ever_wide()) << "the latch is sticky for the rest of the run";
-}
-
-// ---------------------------------------------------------------------------
-// AdaptiveLookahead: learning, shrinking, collapse.
-// ---------------------------------------------------------------------------
-
-// Drive `count` sends on src->dst spaced `gap` apart, starting after whatever
-// timestamp the link last saw.
-void SendsWithGap(AdaptiveLookahead& adaptive, MachineId src, MachineId dst, SimTime start,
-                  SimDuration gap, int count) {
-  for (int i = 0; i < count; ++i) {
-    adaptive.Observe(src, dst, start + static_cast<SimTime>(i) * gap);
-  }
-}
-
-TEST(AdaptiveLookaheadTest, StartsAtStaticFloorAndFirstSendOnlyRecords) {
-  LinkLatencyTable table(2, /*uniform_us=*/100);
-  AdaptiveLookahead adaptive(table, /*growth_cap=*/64, /*window=*/4);
-  EXPECT_EQ(adaptive.FromSource(0), 100u);
-  EXPECT_FALSE(adaptive.Observe(0, 1, 5000)) << "a first send has no gap to learn from";
-  EXPECT_EQ(adaptive.FromSource(0), 100u);
-}
-
-TEST(AdaptiveLookaheadTest, GrowthIsWindowedAtMostDoublePerWindowAndCapped) {
-  LinkLatencyTable table(2, /*uniform_us=*/100);
-  AdaptiveLookahead adaptive(table, /*growth_cap=*/4, /*window=*/4);
-  // 1 recording send + 4 gaps of 1000us = one full observation window.
-  SendsWithGap(adaptive, 0, 1, 0, 1000, 5);
-  EXPECT_EQ(adaptive.FromSource(0), 200u) << "one window may at most double the estimate";
-  SendsWithGap(adaptive, 0, 1, 10'000, 1000, 4);
-  EXPECT_EQ(adaptive.FromSource(0), 400u);
-  SendsWithGap(adaptive, 0, 1, 20'000, 1000, 4);
-  EXPECT_EQ(adaptive.FromSource(0), 400u) << "growth_cap * static is the ceiling";
-}
-
-TEST(AdaptiveLookaheadTest, ShrinkIsImmediateAndNeverBelowStatic) {
-  LinkLatencyTable table(2, /*uniform_us=*/100);
-  AdaptiveLookahead adaptive(table, /*growth_cap=*/64, /*window=*/4);
-  SendsWithGap(adaptive, 0, 1, 0, 1000, 5);
-  ASSERT_EQ(adaptive.FromSource(0), 200u);
-  // A single closer-spaced send shrinks mid-window -- no waiting.
-  EXPECT_TRUE(adaptive.Observe(0, 1, 4150));  // 150us after the last send at 4000
-  EXPECT_EQ(adaptive.FromSource(0), 150u);
-  EXPECT_TRUE(adaptive.Observe(0, 1, 4160));  // 10us gap clamps at the static floor
-  EXPECT_EQ(adaptive.FromSource(0), 100u);
-  EXPECT_FALSE(adaptive.Observe(0, 1, 4165)) << "already at the floor: nothing shrank";
-  EXPECT_EQ(adaptive.FromSource(0), 100u);
-}
-
-TEST(AdaptiveLookaheadTest, CollapseResetsToStaticFloor) {
-  LinkLatencyTable table(2, /*uniform_us=*/100);
-  AdaptiveLookahead adaptive(table, /*growth_cap=*/64, /*window=*/4);
-  SendsWithGap(adaptive, 0, 1, 0, 1000, 5);
-  ASSERT_EQ(adaptive.FromSource(0), 200u);
-  EXPECT_TRUE(adaptive.Collapse(0)) << "the published value shrank back to static";
-  EXPECT_EQ(adaptive.FromSource(0), 100u);
-  EXPECT_FALSE(adaptive.Collapse(0)) << "already at the floor";
-  // Learning restarts cleanly after the collapse.
-  SendsWithGap(adaptive, 0, 1, 50'000, 1000, 4);
-  EXPECT_EQ(adaptive.FromSource(0), 200u);
-}
-
-TEST(AdaptiveLookaheadTest, PublishedIsMinOverObservedLinks) {
-  LinkLatencyTable table(3, /*uniform_us=*/100);
-  AdaptiveLookahead adaptive(table, /*growth_cap=*/64, /*window=*/4);
-  SendsWithGap(adaptive, 0, 1, 0, 1000, 5);
-  ASSERT_EQ(adaptive.FromSource(0), 200u) << "only 0->1 observed so far";
-  // A second destination with tight spacing drags the source estimate down:
-  // the published value must be safe for the busiest outgoing link.
-  adaptive.Observe(0, 2, 9000);
-  EXPECT_TRUE(adaptive.Observe(0, 2, 9010));
-  EXPECT_EQ(adaptive.FromSource(0), 100u);
-  EXPECT_EQ(adaptive.FromSource(1), 100u) << "other sources are untouched";
-}
-
-TEST(LbtsStateTest, RelaxedBoundNeverBelowTightAndReportsWidening) {
-  LbtsState lbts(2);
-  LinkLatencyTable latency(2, /*uniform_us=*/100);
-  const std::vector<SimTime> floors = {1000, 2000};
-  ASSERT_EQ(lbts.NextBound(floors, latency), 1099u);
-
-  bool widened = true;
-  // No adaptive state and no wide span: identical to the conservative bound.
-  EXPECT_EQ(lbts.NextRelaxedBound(floors, latency, nullptr, 0, &widened), 1099u);
-  EXPECT_FALSE(widened);
-  // A wide span measures from the minimum floor.
-  EXPECT_EQ(lbts.NextRelaxedBound(floors, latency, nullptr, 800, &widened), 1799u);
-  EXPECT_TRUE(widened);
-}
-
-TEST(LbtsStateTest, RelaxedBoundUsesLearnedLookaheadPerSource) {
-  LbtsState lbts(2);
-  LinkLatencyTable latency(2, /*uniform_us=*/100);
-  AdaptiveLookahead adaptive(latency, /*growth_cap=*/64, /*window=*/4);
-  SendsWithGap(adaptive, 0, 1, 0, 1000, 5);
-  ASSERT_EQ(adaptive.FromSource(0), 200u);
-
-  const std::vector<SimTime> floors = {1000, 2000};
-  bool widened = false;
-  // min(1000 + 200 - 1, 2000 + 100 - 1) = 1199, above the tight 1099.
-  EXPECT_EQ(lbts.NextRelaxedBound(floors, latency, &adaptive, 0, &widened), 1199u);
-  EXPECT_TRUE(widened);
-}
-
-TEST(LbtsStateTest, RelaxedBoundPreservesQuiescenceSignal) {
-  LbtsState lbts(2);
-  LinkLatencyTable latency(2, /*uniform_us=*/100);
-  bool widened = true;
-  EXPECT_EQ(lbts.NextRelaxedBound({kSimTimeNever, kSimTimeNever}, latency, nullptr, 1'000'000,
-                                  &widened),
-            kSimTimeNever)
-      << "a wide span must not turn a quiescent cluster into a live one";
-  EXPECT_FALSE(widened);
 }
 
 // ---------------------------------------------------------------------------
