@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -208,19 +209,24 @@ void BM_SimulatedSecondOfRpc(benchmark::State& state) {
 BENCHMARK(BM_SimulatedSecondOfRpc)->Unit(benchmark::kMillisecond);
 
 // Guard for the EventQueue dispatch fix: Step() must move each scheduled
-// callback out of the heap, not copy it.  The probe's copy-constructor bumps
-// a counter that is reported per event; the CI gate asserts it stays 0.
+// callback out of the queue, not copy it.  The probe's copy and move
+// constructors bump counters that are reported per event; the CI gate asserts
+// 0 copies here and in BM_EventQueueStepMixed, and <= 2 moves in the latter.
 std::uint64_t g_probe_copies = 0;
+std::uint64_t g_probe_moves = 0;
 
-struct CallbackCopyProbe {
-  CallbackCopyProbe() = default;
-  CallbackCopyProbe(const CallbackCopyProbe&) { ++g_probe_copies; }
-  CallbackCopyProbe& operator=(const CallbackCopyProbe&) {
+struct CallbackProbe {
+  CallbackProbe() = default;
+  CallbackProbe(const CallbackProbe&) { ++g_probe_copies; }
+  CallbackProbe& operator=(const CallbackProbe&) {
     ++g_probe_copies;
     return *this;
   }
-  CallbackCopyProbe(CallbackCopyProbe&&) = default;
-  CallbackCopyProbe& operator=(CallbackCopyProbe&&) = default;
+  CallbackProbe(CallbackProbe&&) noexcept { ++g_probe_moves; }
+  CallbackProbe& operator=(CallbackProbe&&) noexcept {
+    ++g_probe_moves;
+    return *this;
+  }
 };
 
 void BM_EventQueueStep(benchmark::State& state) {
@@ -231,7 +237,7 @@ void BM_EventQueueStep(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     EventQueue queue;
-    CallbackCopyProbe probe;
+    CallbackProbe probe;
     for (std::size_t i = 0; i < kBatch; ++i) {
       queue.At(static_cast<SimTime>(i), [probe, &sink] { ++sink; });
     }
@@ -252,6 +258,58 @@ void BM_EventQueueStep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_EventQueueStep);
+
+// BM_EventQueueStep schedules in rising time order, so push_heap never sifts
+// and the heap depth costs nothing.  Here 1024 events are pending at offsets
+// (i*7) % 64 -- the perfbench price-list pattern -- so every At and Step
+// sifts through a deep heap.  Callbacks are built untimed; the counters
+// report only the moves and copies the queue itself makes while scheduling
+// and dispatching them.  The queue is warmed first so slab growth is not
+// counted.
+void BM_EventQueueStepMixed(benchmark::State& state) {
+  constexpr std::size_t kBatch = 1024;
+  std::uint64_t sink = 0;
+  std::uint64_t events = 0;
+  std::uint64_t moves = 0;
+  std::uint64_t copies = 0;
+  EventQueue queue;
+  std::vector<EventQueue::Callback> batch(kBatch);
+  auto fill = [&] {
+    CallbackProbe probe;
+    for (EventQueue::Callback& fn : batch) {
+      fn = [probe, &sink] { ++sink; };
+    }
+  };
+  auto schedule_and_drain = [&] {
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      queue.At(queue.Now() + (i * 7) % 64, std::move(batch[i]));
+    }
+    while (queue.Step()) {
+    }
+  };
+  fill();
+  schedule_and_drain();  // warm-up: grows the slab to the batch size
+  for (auto _ : state) {
+    state.PauseTiming();
+    fill();
+    const std::uint64_t moves_before = g_probe_moves;
+    const std::uint64_t copies_before = g_probe_copies;
+    state.ResumeTiming();
+    schedule_and_drain();
+    state.PauseTiming();
+    moves += g_probe_moves - moves_before;
+    copies += g_probe_copies - copies_before;
+    events += kBatch;
+    state.ResumeTiming();
+  }
+  benchmark::DoNotOptimize(sink);
+  state.counters["callback_moves_per_event"] =
+      benchmark::Counter(static_cast<double>(moves) / static_cast<double>(events));
+  state.counters["callback_copies_per_event"] =
+      benchmark::Counter(static_cast<double>(copies) / static_cast<double>(events));
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EventQueueStepMixed);
 
 }  // namespace
 }  // namespace demos

@@ -1,13 +1,15 @@
-// Move-only callable with inline storage -- the event-queue node pool.
+// Move-only callable with inline storage -- the element of the event queue's
+// callback slab.
 //
-// EventQueue previously stored std::function<void()> per event; any capture
-// larger than the libstdc++/libc++ small-object buffer (16 bytes) heap-
-// allocates, and the hot scheduling lambdas (kernel timers, the sync
-// engine's cross-shard delivery closures) all exceed it.  SmallFn trades
-// copyability (which the event heap never needed -- events are moved, run
-// once, destroyed) for a buffer sized to the real captures, so scheduling an
-// event allocates nothing.  Oversized or over-aligned callables still fall
-// back to the heap transparently.
+// std::function<void()> heap-allocates any capture larger than the
+// libstdc++/libc++ small-object buffer (16 bytes), and the hot scheduling
+// lambdas (kernel timers, the sync engine's cross-shard delivery closures)
+// all exceed it.  SmallFn trades copyability (which the queue never needs --
+// a callback is moved into its slab slot, moved out, run once, destroyed) for
+// a buffer sized to the real captures, so scheduling an event allocates
+// nothing.  Each move goes through an indirect call, which is why the queue's
+// heap sifts small keys rather than SmallFns.  Oversized or over-aligned
+// callables still fall back to the heap transparently.
 
 #ifndef DEMOS_BASE_SMALL_FN_H_
 #define DEMOS_BASE_SMALL_FN_H_

@@ -762,4 +762,20 @@ MinimizeResult MinimizeScenario(const ChaosScenario& failing, const ChaosOptions
   return result;
 }
 
+std::string MinimizedDisableArg(const MinimizeResult& min,
+                                const std::vector<ChaosFeature>& prior) {
+  std::vector<ChaosFeature> steps = prior;
+  steps.insert(steps.end(), min.disabled.begin(), min.disabled.end());
+  steps.insert(steps.end(), static_cast<std::size_t>(min.halvings),
+               ChaosFeature::kHalveMigrations);
+  steps.insert(steps.end(), static_cast<std::size_t>(min.crash_halvings),
+               ChaosFeature::kHalveCrashes);
+  std::string arg;
+  for (const ChaosFeature f : steps) {
+    arg += (arg.empty() ? "" : ",");
+    arg += ChaosFeatureName(f);
+  }
+  return arg;
+}
+
 }  // namespace demos

@@ -207,6 +207,14 @@ struct MinimizeResult {
 // under `options`.
 MinimizeResult MinimizeScenario(const ChaosScenario& failing, const ChaosOptions& options = {});
 
+// The --disable= value that rebuilds `min.scenario` from its seed's fresh
+// scenario: `prior` (features disabled before minimizing), then each feature
+// the minimizer disabled, then one halve-migrations / halve-crashes entry per
+// halving, in the order MinimizeScenario applied them.  Empty when nothing at
+// all was removed.
+std::string MinimizedDisableArg(const MinimizeResult& min,
+                                const std::vector<ChaosFeature>& prior = {});
+
 }  // namespace demos
 
 #endif  // DEMOS_CHECK_CHAOS_H_

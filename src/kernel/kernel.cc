@@ -261,6 +261,8 @@ void Kernel::RouteIncoming(Message msg, MachineId wire_src) {
     // Held: "the message is held and forwarded for delivery when normal
     // message receiving can continue" (Sec. 2.2).  This applies to
     // DELIVERTOKERNEL control messages as well.
+    RecordEvent(FrEvent::kMsgPendingHold, msg.trace_id, static_cast<std::uint64_t>(msg.type),
+                record.queue.size() + 1);
     EnqueueLocal(record, std::move(msg));
     return;
   }

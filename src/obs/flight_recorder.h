@@ -106,6 +106,7 @@ enum class FrCategory : std::uint8_t {
   X(kMsgSend, "send", kMessage, "type", "wire_bytes")                                  \
   X(kMsgForward, "forward", kMessage, "hops", "next")                                  \
   X(kMsgBounce, "bounce", kMessage, "type", nullptr)                                   \
+  X(kMsgPendingHold, "pending_hold", kMessage, "type", "queued")                       \
   X(kMsgPendingResend, "pending_resend", kMessage, "dest", nullptr)                    \
   X(kMsgBounceResend, "bounce_resend", kMessage, "hops", nullptr)                      \
   X(kMsgDeliver, "deliver", kMessage, "hops", nullptr)                                 \

@@ -10,6 +10,11 @@
 //
 // Time is in virtual microseconds.  Events scheduled for the same instant run
 // in FIFO order of scheduling, which keeps runs reproducible.
+//
+// Layout: the heap orders small trivially-copyable keys {when, seq, slot};
+// each key's callback sits in a slab slot (a vector of callbacks plus a
+// free-slot list).  A callback is moved once into its slot by At and once out
+// of it by Step, however deep the heap; heap sifts only copy keys.
 
 #ifndef DEMOS_SIM_EVENT_QUEUE_H_
 #define DEMOS_SIM_EVENT_QUEUE_H_
@@ -47,16 +52,25 @@ class EventQueue {
   void SetMetrics(MetricShard* metrics) { metrics_ = metrics; }
 
   // Schedule `fn` to run at absolute virtual time `when` (clamped to Now()).
-  void At(SimTime when, Callback fn) {
+  // The callback is moved into a slab slot once; only its key enters the heap.
+  void At(SimTime when, Callback&& fn) {
     if (when < now_) {
       when = now_;
     }
-    heap_.push_back(Event{when, next_seq_++, std::move(fn)});
+    std::uint32_t slot = static_cast<std::uint32_t>(slots_.size());
+    if (free_slots_.empty()) {
+      slots_.push_back(std::move(fn));
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+      slots_[slot] = std::move(fn);
+    }
+    heap_.push_back(Key{when, next_seq_++, slot});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
   // Schedule `fn` to run `delay` microseconds from now.
-  void After(SimDuration delay, Callback fn) { At(now_ + delay, std::move(fn)); }
+  void After(SimDuration delay, Callback&& fn) { At(now_ + delay, std::move(fn)); }
 
   bool Empty() const { return heap_.empty(); }
   std::size_t PendingEvents() const { return heap_.size(); }
@@ -70,18 +84,18 @@ class EventQueue {
     if (heap_.empty()) {
       return false;
     }
-    // The callback may schedule more events, so pop before invoking.  The
-    // heap is a raw vector (not std::priority_queue, whose const top() would
-    // force a std::function copy per event): sift the next event to the back,
-    // then move it out.
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Event ev = std::move(heap_.back());
+    const Key next = heap_.back();
     heap_.pop_back();
-    now_ = ev.when;
+    // Move the callback out and free its slot before invoking: the callback
+    // may schedule more events, which can reuse the slot or regrow the slab.
+    Callback fn = std::move(slots_[next.slot]);
+    free_slots_.push_back(next.slot);
+    now_ = next.when;
     if (metrics_ != nullptr) {
       metrics_->Inc(CounterId::kEventsExecuted);
     }
-    ev.fn();
+    fn();
     return true;
   }
 
@@ -132,14 +146,16 @@ class EventQueue {
   }
 
  private:
-  struct Event {
+  // Heap entry: trivially copyable, so a sift step copies 24 bytes instead of
+  // moving a type-erased closure.  `slot` indexes the callback in slots_.
+  struct Key {
     SimTime when;
     std::uint64_t seq;
-    Callback fn;
+    std::uint32_t slot;
   };
 
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.when != b.when) {
         return a.when > b.when;
       }
@@ -149,7 +165,11 @@ class EventQueue {
 
   // Min-heap on (when, seq) maintained with std::push_heap/pop_heap;
   // heap_.front() is always the next event.
-  std::vector<Event> heap_;
+  std::vector<Key> heap_;
+  // Callback slab: a slot holds a pending event's callback and is recycled
+  // through free_slots_ once the event runs.  Slot choice never affects order.
+  std::vector<Callback> slots_;
+  std::vector<std::uint32_t> free_slots_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   MetricShard* metrics_ = nullptr;

@@ -171,6 +171,42 @@ TEST(ChaosHarnessTest, MinimizerShrinksFailingScenario) {
   FAIL() << "no reducible failing scenario found in seeds 1..64";
 }
 
+TEST(ChaosHarnessTest, MinimizedDisableArgReplaysTheMinimizedScenario) {
+  // The printed "repro (minimized)" line must rebuild exactly the scenario
+  // the minimizer settled on, halvings included: apply its --disable= list
+  // to a fresh ScenarioFromSeed and compare.
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    const ChaosScenario scenario = ScenarioFromSeed(seed);
+    if (!ExercisesForwarding(scenario) || scenario.migrations.size() < 8) {
+      continue;
+    }
+    const ChaosOptions options = BrokenForwarding(scenario.machines);
+    if (RunScenario(scenario, options).ok()) {
+      continue;
+    }
+    const MinimizeResult min = MinimizeScenario(scenario, options);
+    if (min.halvings == 0) {
+      continue;
+    }
+    const std::string arg = MinimizedDisableArg(min);
+    ChaosScenario replay = ScenarioFromSeed(seed);
+    std::size_t pos = 0;
+    int halvings_listed = 0;
+    while (pos <= arg.size()) {
+      const std::size_t comma = std::min(arg.find(',', pos), arg.size());
+      const ChaosFeature f = ChaosFeatureFromName(arg.substr(pos, comma - pos));
+      ASSERT_NE(f, ChaosFeature::kNone) << arg;
+      halvings_listed += f == ChaosFeature::kHalveMigrations ? 1 : 0;
+      (void)DisableFeature(&replay, f);
+      pos = comma + 1;
+    }
+    EXPECT_EQ(halvings_listed, min.halvings) << arg;
+    EXPECT_EQ(replay.Describe(), min.scenario.Describe()) << "seed " << seed << ": " << arg;
+    return;
+  }
+  FAIL() << "no failing seed in 1..64 minimized with a migration halving";
+}
+
 TEST(ClusterCheckerTest, CleanMigrationPassesAllInvariants) {
   testutil::RegisterPrograms();
   ClusterConfig config;

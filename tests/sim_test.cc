@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -141,7 +143,7 @@ struct CopyProbe {
 // event would re-copy every captured payload on the hot path.
 TEST(SmallFnTest, InlineCapturesAvoidTheHeapAndMoveCleanly) {
   // The event queue's Callback is SmallFn<56>: captures up to 56 bytes live
-  // inline in the event node.  Prove the inline path runs, moves, and
+  // inline in its callback slab slot.  Prove the inline path runs, moves, and
   // destroys exactly one live copy of its capture.
   struct LifeProbe {
     int* alive;
@@ -210,6 +212,114 @@ TEST(EventQueueTest, StepMovesCallbacksWithoutCopying) {
   q.RunUntilIdle();
   EXPECT_EQ(runs, 16);
   EXPECT_EQ(copies, after_scheduling) << "Step() copied a callback";
+}
+
+// The callable itself counts its moves and copies, so every time the queue
+// relocates a callback -- into the slab, out of it, or through a heap sift --
+// shows up in `counts`.
+struct CallbackCounts {
+  int moves = 0;
+  int copies = 0;
+};
+
+struct CountingCallback {
+  CountingCallback(CallbackCounts* c, int* r) : counts(c), runs(r) {}
+  CountingCallback(const CountingCallback& other) : counts(other.counts), runs(other.runs) {
+    ++counts->copies;
+  }
+  CountingCallback(CountingCallback&& other) noexcept : counts(other.counts), runs(other.runs) {
+    ++counts->moves;
+  }
+  CountingCallback& operator=(const CountingCallback&) = delete;
+  CountingCallback& operator=(CountingCallback&&) = delete;
+  void operator()() const { ++*runs; }
+  CallbackCounts* counts;
+  int* runs;
+};
+
+// Keeps about `depth` events pending at mixed offsets, then measures callback
+// moves over `rounds` steady-state At+Step pairs.  Each round's callback is
+// built before the snapshot, so only the queue's own relocations are counted.
+CallbackCounts SteadyStateRelocations(int depth, int rounds) {
+  EventQueue q;
+  CallbackCounts counts;
+  int runs = 0;
+  for (int i = 0; i < depth; ++i) {
+    q.At(static_cast<SimTime>((i * 7) % 64), CountingCallback(&counts, &runs));
+  }
+  EXPECT_TRUE(q.Step());  // warm-up: leaves one free slab slot to recycle
+  CallbackCounts measured;
+  for (int i = 0; i < rounds; ++i) {
+    EventQueue::Callback next(CountingCallback(&counts, &runs));
+    const CallbackCounts before = counts;
+    q.After(static_cast<SimDuration>((i * 7) % 64), std::move(next));
+    EXPECT_TRUE(q.Step());
+    measured.moves += counts.moves - before.moves;
+    measured.copies += counts.copies - before.copies;
+  }
+  EXPECT_EQ(q.PendingEvents(), static_cast<std::size_t>(depth - 1));
+  return measured;
+}
+
+TEST(EventQueueTest, CallbackMovesPerEventDoNotGrowWithQueueDepth) {
+  constexpr int kRounds = 256;
+  const CallbackCounts shallow = SteadyStateRelocations(16, kRounds);
+  const CallbackCounts deep = SteadyStateRelocations(1024, kRounds);
+  // One move into a free slab slot, one out of it; heap sifts move only keys.
+  EXPECT_LE(shallow.moves, 2 * kRounds);
+  EXPECT_EQ(deep.moves, shallow.moves);
+  EXPECT_EQ(shallow.copies, 0);
+  EXPECT_EQ(deep.copies, 0);
+}
+
+TEST(EventQueueTest, CallbackSchedulingThousandsWhileTheSlabRegrows) {
+  // The running callback schedules far more events than the slab holds, so
+  // the slab reallocates under it.  Its own captures must stay intact, and
+  // every new event must still run in (when, seq) order.
+  EventQueue q;
+  constexpr int kFanOut = 2000;
+  std::vector<std::pair<SimTime, int>> order;
+  int tag_after_fan_out = 0;
+  auto captured = std::make_unique<int>(7);
+  q.At(1, [&q, &order, &tag_after_fan_out, tag = std::move(captured)] {
+    for (int i = 0; i < kFanOut; ++i) {
+      q.After(static_cast<SimDuration>(1 + (i * 7) % 64),
+              [&q, &order, i] { order.emplace_back(q.Now(), i); });
+    }
+    tag_after_fan_out = *tag;
+  });
+  q.RunUntilIdle();
+  ASSERT_EQ(tag_after_fan_out, 7);
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kFanOut));
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  for (const auto& [when, i] : order) {
+    EXPECT_EQ(when, static_cast<SimTime>(2 + (i * 7) % 64));
+  }
+}
+
+TEST(EventQueueTest, SameTimeFifoHoldsAcrossSlotReuse) {
+  // Each round frees a low slab slot (the early event) and then schedules a
+  // newer event at the shared time, which lands in that recycled slot.  Slot
+  // numbers run against age, so ordering by slot would run newest first.
+  EventQueue q;
+  std::vector<int> order;
+  constexpr SimTime kShared = 100;
+  constexpr int kRounds = 8;
+  for (int i = 0; i < kRounds; ++i) {
+    q.At(static_cast<SimTime>(i), [] {});
+  }
+  for (int i = 0; i < kRounds; ++i) {
+    q.At(kShared, [&order, i] { order.push_back(i); });
+  }
+  for (int i = kRounds; i < 2 * kRounds; ++i) {
+    ASSERT_TRUE(q.Step());
+    q.At(kShared, [&order, i] { order.push_back(i); });
+  }
+  q.RunUntilIdle();
+  std::vector<int> want(2 * kRounds);
+  std::iota(want.begin(), want.end(), 0);
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(q.Now(), kShared);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 #include <string>
@@ -319,6 +320,37 @@ TEST(TraceTest, ForwardingChainRecordsHops) {
   StatsRegistry derived;
   BuildTraceStats(Trace(cluster), &derived);
   EXPECT_GE(derived.Histogram(HistId::kForwardHops).max, 2u);
+}
+
+TEST(TraceTest, HeldMessageRecordsHoldThenResend) {
+  // A message that reaches the source while its receiver is in migration is
+  // held in the pending queue and re-sent at step 6; both ends of that detour
+  // carry the message's trace id.
+  testutil::RegisterPrograms();
+  Cluster cluster(TracedConfig(2));
+
+  auto proc = cluster.kernel(0).SpawnProcess("counter", 4096, 2048, 1024);
+  ASSERT_TRUE(proc.ok());
+  cluster.RunUntilIdle();
+  ASSERT_TRUE(
+      cluster.kernel(0).StartMigration(proc->pid, 1, cluster.kernel(0).kernel_address()).ok());
+  cluster.kernel(1).SendFromKernel(ProcessAddress{0, proc->pid}, kIncrement, {});
+  cluster.RunUntilIdle();
+  ASSERT_EQ(cluster.HostOf(proc->pid), 1);
+
+  const std::vector<FlightRecord> records = Trace(cluster);
+  const auto hold = std::find_if(records.begin(), records.end(), [](const FlightRecord& r) {
+    return r.type == FrEvent::kMsgPendingHold;
+  });
+  ASSERT_NE(hold, records.end()) << "no pending_hold recorded";
+  EXPECT_NE(hold->id, 0u);
+  EXPECT_EQ(hold->a, static_cast<std::uint64_t>(kIncrement));
+  EXPECT_EQ(hold->shard, 0);
+  const auto resend = std::find_if(hold, records.end(), [&](const FlightRecord& r) {
+    return r.type == FrEvent::kMsgPendingResend && r.id == hold->id;
+  });
+  ASSERT_NE(resend, records.end()) << "held message " << hold->id << " was never re-sent";
+  EXPECT_EQ(resend->a, 1u);  // re-sent to the destination machine
 }
 
 TEST(TraceTest, ChromeTraceJsonIsWellFormed) {

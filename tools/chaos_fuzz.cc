@@ -145,6 +145,21 @@ void PrintUsage() {
                "          halve-crashes\n");
 }
 
+// The flags that pick the scenario generator and engine, for repro lines.
+std::string ModeFlags(const Options& opts) {
+  std::string flags;
+  if (opts.churn) {
+    flags += " --churn";
+  }
+  if (opts.permadeath) {
+    flags += " --permadeath";
+  }
+  if (opts.engine == demos::ChaosEngineKind::kParallel) {
+    flags += " --engine=parallel";
+  }
+  return flags;
+}
+
 void PrintFailure(const Options& opts, const demos::ChaosScenario& scenario,
                   const demos::ChaosResult& result) {
   std::printf("FAIL seed=%llu (%zu violation%s)\n",
@@ -158,11 +173,8 @@ void PrintFailure(const Options& opts, const demos::ChaosScenario& scenario,
   if (result.violations.size() > kMaxPrinted) {
     std::printf("  ... and %zu more\n", result.violations.size() - kMaxPrinted);
   }
-  std::printf("repro: chaos_fuzz --seed=%llu%s%s%s\n",
-              static_cast<unsigned long long>(scenario.seed),
-              opts.churn ? " --churn" : "",
-              opts.permadeath ? " --permadeath" : "",
-              opts.engine == demos::ChaosEngineKind::kParallel ? " --engine=parallel" : "");
+  std::printf("repro: chaos_fuzz --seed=%llu%s\n",
+              static_cast<unsigned long long>(scenario.seed), ModeFlags(opts).c_str());
 }
 
 // Trim the cluster timeline to the violation's cast of characters and write a
@@ -252,14 +264,11 @@ bool RunSeed(const Options& opts, std::uint64_t seed) {
       std::printf(" crashes/%d", 1 << min.crash_halvings);
     }
     std::printf("\n%s\n", min.scenario.Describe().c_str());
-    std::string disable_list;
-    for (const demos::ChaosFeature f : min.disabled) {
-      disable_list += (disable_list.empty() ? "" : ",");
-      disable_list += demos::ChaosFeatureName(f);
-    }
-    if (!disable_list.empty()) {
-      std::printf("repro (minimized): chaos_fuzz --seed=%llu --disable=%s\n",
-                  static_cast<unsigned long long>(seed), disable_list.c_str());
+    const std::string disable_arg = demos::MinimizedDisableArg(min, opts.disabled);
+    if (!disable_arg.empty()) {
+      std::printf("repro (minimized): chaos_fuzz --seed=%llu%s --disable=%s\n",
+                  static_cast<unsigned long long>(seed), ModeFlags(opts).c_str(),
+                  disable_arg.c_str());
     }
   }
   return false;
