@@ -283,10 +283,10 @@ class Kernel {
   // True while this kernel runs a virtual-time policy that needs strictly
   // conservative sync bounds: a migration in either role (each phase arms a
   // progress-measured deadline watchdog, and the source entry exists before
-  // the offer frame even leaves the machine).  The parallel engine polls
-  // this per scheduling round to decide when relaxed LBTS windows must
-  // collapse back to the static lookahead -- see docs/PROTOCOL.md,
-  // "Adaptive lookahead".
+  // the offer frame even leaves the machine).  The parallel engine publishes
+  // it with each shard's LBTS floor; while any shard is tight, the next
+  // window is strictly conservative instead of wide -- see docs/PROTOCOL.md,
+  // "Wide windows".
   bool NeedsTightTime() const { return HasMigrationInProgress(); }
 
   // Periodically report load to `collector` (the process manager).  NOTE:

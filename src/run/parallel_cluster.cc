@@ -9,7 +9,7 @@ namespace demos {
 
 namespace {
 
-// ShardMainSync's idle-record gate: no idle pass recorded since the last work.
+// ShardMain's idle-record gate: no idle pass recorded since the last work.
 constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
 
 bool DeadlinesArmed(const KernelConfig& kc) {
@@ -89,7 +89,7 @@ ParallelCluster::ParallelCluster(ParallelClusterConfig config) : config_(config)
       shard->queue.SetMetrics(&metrics_->shard(i));
     }
     // Frames carry the sender's virtual clock even in free-running mode (the
-    // stamp is one load; only the sync drain path reads it).
+    // stamp is one load; only the sync drain reads it).
     router_->SetClock(shard->machine, &shard->queue);
     shards_.push_back(std::move(shard));
   }
@@ -113,11 +113,7 @@ void ParallelCluster::Start() {
   for (auto& shard : shards_) {
     Shard* s = shard.get();
     s->idle.store(false, std::memory_order_seq_cst);
-    if (sync_enabled_) {
-      s->thread = std::thread([this, s] { ShardMainSync(*s); });
-    } else {
-      s->thread = std::thread([this, s] { ShardMain(*s); });
-    }
+    s->thread = std::thread([this, s] { ShardMain(*s); });
   }
 }
 
@@ -187,22 +183,18 @@ std::uint64_t ParallelCluster::TotalEventsExecuted() const {
   return total;
 }
 
-// Both idle predicates run per lap of IdleWait's spin window: everything
-// they touch is an atomic or a heap-top read (posted_count mirrors the
-// posted vector so the spin never takes posted_mu).
-bool ParallelCluster::HasLocalWork(Shard& shard) {
-  return !shard.queue.Empty() || router_->HasMail(shard.machine) ||
-         shard.posted_count.load(std::memory_order_seq_cst) != 0;
-}
-
-bool ParallelCluster::HasSyncWork(Shard& shard, std::uint64_t epoch) {
-  if (lbts_->epoch() != epoch || router_->HasMail(shard.machine)) {
+// Runs per lap of IdleWait's spin window: everything it touches is an atomic
+// or a heap-top read (posted_count mirrors the posted vector so the spin never
+// takes posted_mu).  The Empty() test matters under an unbounded window:
+// NextEventTime() of an empty queue is kSimTimeNever, which is <= that bound.
+bool ParallelCluster::HasWork(Shard& shard, std::uint64_t epoch, SimTime bound) {
+  if (router_->HasMail(shard.machine) || shard.posted_count.load(std::memory_order_seq_cst) != 0) {
     return true;
   }
-  if (shard.queue.NextEventTime() <= lbts_->bound()) {
+  if (!shard.queue.Empty() && shard.queue.NextEventTime() <= bound) {
     return true;
   }
-  return shard.posted_count.load(std::memory_order_seq_cst) != 0;
+  return sync_enabled_ && lbts_->epoch() != epoch;
 }
 
 std::size_t ParallelCluster::DrainPosted(Shard& shard) {
@@ -245,93 +237,47 @@ void ParallelCluster::ScheduleDelivery(Shard& shard, MachineId src, SimTime send
 }
 
 void ParallelCluster::ShardMain(Shard& shard) {
+  // Mailbox frames, then local events, handled per scheduling round before
+  // the shard looks at the other source again.
+  constexpr std::size_t kDrainBatch = 128;
+  constexpr std::size_t kEventBatch = 256;
   MetricShard* metrics = metrics_ ? &metrics_->shard(shard.machine) : nullptr;
   PoolThreadStats pool_last{};
-  const auto fold_pool_stats = [&] { FoldPoolStats(metrics, pool_last); };
-  // Only the first idle pass after work records its vote and park: an idle
-  // shard wakes every idle_park, and a traced (retain-all) recorder would
-  // otherwise grow with idle wall time rather than with work.
-  bool idle_recorded = false;
-  while (!stop_.load(std::memory_order_acquire)) {
-    std::size_t did = 0;
-    did += router_->Drain(shard.machine, config_.drain_batch);
-    const std::size_t posted = DrainPosted(shard);
-    did += posted;
-    std::size_t steps = 0;
-    while (steps < config_.event_batch && shard.queue.Step()) {
-      ++steps;
-    }
-    did += steps;
-    // End of the scheduling round: publish every destination lane this round
-    // staged (one mailbox push per destination).  A did==0 round staged
-    // nothing, so an idle shard never sits on unpublished frames.
-    router_->Flush(shard.machine);
-    if (did != 0) {
-      if (metrics != nullptr) {
-        metrics->Inc(CounterId::kSchedulerRounds);
-        if (posted != 0) {
-          metrics->Inc(CounterId::kPostedTasks, posted);
-        }
-        if (steps != 0) {
-          metrics->Observe(HistogramId::kEventsPerRound, steps);
-        }
-      }
-      if (posted != 0 && flight_) {
-        flight_->recorder(shard.machine).Record(FrEvent::kPostedTask, posted);
-      }
-      idle_recorded = false;
-      continue;
-    }
-    // Nothing anywhere this round (so the event queue is empty; it can only
-    // refill through mail or posted work, which the quiescence counters see).
-    if (metrics != nullptr) {
-      metrics->Set(GaugeId::kEventQueueDepth,
-                   static_cast<std::int64_t>(shard.queue.PendingEvents()));
-    }
-    fold_pool_stats();
-    shard.idle.store(true, std::memory_order_seq_cst);
-    Verify(!idle_recorded);  // the last shard to go idle announces the drain
-    router_->IdleWait(
-        shard.machine, config_.idle_park,
-        [this, &shard] { return HasLocalWork(shard) || stop_.load(std::memory_order_relaxed); },
-        !idle_recorded);
-    idle_recorded = true;
-    shard.idle.store(false, std::memory_order_seq_cst);
-  }
-  fold_pool_stats();
-}
-
-void ParallelCluster::ShardMainSync(Shard& shard) {
-  MetricShard* metrics = metrics_ ? &metrics_->shard(shard.machine) : nullptr;
-  PoolThreadStats pool_last{};
-  const auto fold_pool_stats = [&] { FoldPoolStats(metrics, pool_last); };
   const MachineId me = shard.machine;
   const ShardRouter::TimedSink sink = [this, &shard](MachineId src, SimTime send_ts,
                                                      PayloadRef payload) {
     ScheduleDelivery(shard, src, send_ts, std::move(payload));
   };
-  // As in ShardMain, keyed by window: a shard records one vote and park per
-  // epoch it blocks in, however many idle_park timeouts that takes.
+  // Only the first idle pass per window records its vote and park: an idle
+  // shard wakes every idle_park, and a traced (retain-all) recorder would
+  // otherwise grow with idle wall time rather than with work.
   std::uint64_t recorded_epoch = kNoEpoch;
   while (!stop_.load(std::memory_order_acquire)) {
-    // Snapshot the window first, then advertise busy *before* consuming any
-    // input: the verifier's double snapshot relies on every consumption
-    // being bracketed by busy==true or a fresh floor (virtual_time.h).
-    const std::uint64_t epoch = lbts_->epoch();
-    const SimTime bound = lbts_->bound();
-    lbts_->MarkBusy(me);
-    std::size_t did = 0;
-    did += router_->DrainTimed(me, config_.drain_batch, sink);
+    // Free-running is the unbounded window: epoch 0, bound never, frames
+    // delivered as drained.  Under sync, snapshot the window first, then
+    // advertise busy *before* consuming any input: the verifier's double
+    // snapshot relies on every consumption being bracketed by busy==true or a
+    // fresh floor (virtual_time.h).
+    std::uint64_t epoch = 0;
+    SimTime bound = kSimTimeNever;
+    if (sync_enabled_) {
+      epoch = lbts_->epoch();
+      bound = lbts_->bound();
+      lbts_->MarkBusy(me);
+    }
+    std::size_t did = sync_enabled_ ? router_->DrainTimed(me, kDrainBatch, sink)
+                                    : router_->Drain(me, kDrainBatch);
     const std::size_t posted = DrainPosted(shard);
     did += posted;
     std::size_t steps = 0;
-    while (steps < config_.event_batch && shard.queue.StepIfAtMost(bound)) {
+    while (steps < kEventBatch && shard.queue.StepIfAtMost(bound)) {
       ++steps;
     }
     did += steps;
-    // Publish this round's staged lanes before the idle check: the LBTS
-    // floors below must never be published while frames sit staged (a did==0
-    // round staged nothing, so the order is safe).
+    // End of the scheduling round: publish every destination lane this round
+    // staged (one mailbox push per destination), before the idle check -- the
+    // LBTS floors below must never be published while frames sit staged (a
+    // did==0 round staged nothing, so the order is safe).
     router_->Flush(me);
     if (did != 0) {
       if (metrics != nullptr) {
@@ -352,27 +298,29 @@ void ParallelCluster::ShardMainSync(Shard& shard) {
     // Blocked on the window: no mail, no posted work, and the next local
     // event (if any) is past the bound.  Publish the floor for this epoch,
     // then verify: the last shard to block opens the next window itself and
-    // keeps running; the others park until it does.
+    // keeps running, or announces the drain; the others park until woken.
     if (metrics != nullptr) {
       metrics->Set(GaugeId::kEventQueueDepth,
                    static_cast<std::int64_t>(shard.queue.PendingEvents()));
     }
-    fold_pool_stats();
+    FoldPoolStats(metrics, pool_last);
     shard.idle.store(true, std::memory_order_seq_cst);
-    lbts_->PublishIdle(me, epoch, shard.queue.NextEventTime(), shard.kernel->NeedsTightTime());
+    if (sync_enabled_) {
+      lbts_->PublishIdle(me, epoch, shard.queue.NextEventTime(), shard.kernel->NeedsTightTime());
+    }
     const bool record = recorded_epoch != epoch;
     if (Verify(record) != Verdict::kOpened) {
       router_->IdleWait(
           me, config_.idle_park,
-          [this, &shard, epoch] {
-            return HasSyncWork(shard, epoch) || stop_.load(std::memory_order_relaxed);
+          [this, &shard, epoch, bound] {
+            return HasWork(shard, epoch, bound) || stop_.load(std::memory_order_relaxed);
           },
           record);
     }
     recorded_epoch = epoch;
     shard.idle.store(false, std::memory_order_seq_cst);
   }
-  fold_pool_stats();
+  FoldPoolStats(metrics, pool_last);
 }
 
 ParallelCluster::Snapshot ParallelCluster::TakeSnapshot() const {

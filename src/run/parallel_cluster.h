@@ -22,13 +22,18 @@
 // cluster under one mutex, and the last shard to block opens the next LBTS
 // window itself or, when everything is drained, wakes RunUntilQuiescent.
 //
-// Two time models, selected by ParallelClusterConfig::sync:
-//   - Free-running (default): shard clocks advance independently; mail is
-//     delivered the instant it is drained.  Fastest, and correct for every
-//     workload whose semantics are timing-independent.
+// Two time models, selected by ParallelClusterConfig::sync, run by one shard
+// loop (ShardMain: drain mail, run posted work, step events, flush, and park
+// when a round finds nothing):
+//   - Free-running (default): the loop under a single unbounded window.
+//     Shard clocks advance independently; mail is delivered the instant it
+//     is drained (ShardRouter::Drain), and no LBTS state is touched.
+//     Fastest, and correct for every workload whose semantics are
+//     timing-independent.
 //   - Conservative sync: shard clocks advance only up to a cluster-wide
 //     lookahead bound (src/run/virtual_time.h), and cross-shard frames are
-//     delivered at send_ts + the lookahead on the receiver's clock.  No shard
+//     drained through ShardRouter::DrainTimed and delivered at send_ts + the
+//     lookahead on the receiver's clock (ScheduleDelivery).  No shard
 //     ever receives a frame in its virtual past, which is what makes
 //     wall-clock policies -- MigrationDeadlines, suspect backoff -- fire for
 //     real reasons instead of clock skew.  Arming any migration deadline
@@ -72,11 +77,6 @@ struct ParallelClusterConfig {
   int machines = 2;
   KernelConfig kernel;
   ShardRouterConfig router;
-  // Mailbox messages handled per scheduling round before the shard looks at
-  // its event queue again (receive-side batching).
-  std::size_t drain_batch = 128;
-  // Local events run per round before the mailbox is polled again.
-  std::size_t event_batch = 256;
   // How long a shard with nothing to do parks before rechecking (also the
   // recovery bound for a theoretically lost wakeup).
   std::chrono::microseconds idle_park{200};
@@ -215,14 +215,13 @@ class ParallelCluster final : public Engine {
     }
   };
 
+  // The one shard loop.  Free-running runs it as a single unbounded window.
   void ShardMain(Shard& shard);
-  void ShardMainSync(Shard& shard);
-  bool HasLocalWork(Shard& shard);
-  // Sync-mode park predicate: a new window, mail, a runnable event under the
-  // current bound, or posted work.
-  bool HasSyncWork(Shard& shard, std::uint64_t epoch);
-  // Deferred delivery half of DrainTimed: schedule the frame's delivery at
-  // send_ts + lookahead_ on the receiving shard's clock.
+  // Park predicate: mail, posted work, a runnable event under `bound`, or
+  // (sync) a window newer than `epoch`.
+  bool HasWork(Shard& shard, std::uint64_t epoch, SimTime bound);
+  // Sync drain sink: schedule the frame's delivery at send_ts + lookahead_ on
+  // the receiving shard's clock.
   void ScheduleDelivery(Shard& shard, MachineId src, SimTime send_ts, PayloadRef payload);
   std::size_t DrainPosted(Shard& shard);
   Snapshot TakeSnapshot() const;

@@ -36,6 +36,10 @@ inline void CpuRelax() {
 #endif
 }
 
+// A producer blocked this long on one push logs a stall diagnostic (it keeps
+// waiting; the harness timeout is the actual deadline).
+constexpr std::chrono::milliseconds kStallWarning{5000};
+
 }  // namespace
 
 ShardRouter::ShardRouter(int machines, ShardRouterConfig config) : config_(config) {
@@ -245,11 +249,11 @@ void ShardRouter::PublishItem(MachineId src, MachineId dst, MailItem item, Metri
         } else {
           std::this_thread::yield();
           if (!warned &&
-              std::chrono::steady_clock::now() - blocked_since > config_.stall_warning) {
+              std::chrono::steady_clock::now() - blocked_since > kStallWarning) {
             warned = true;
             DEMOS_LOG(kWarn, "router")
                 << "send m" << src << "->m" << dst << " blocked >"
-                << config_.stall_warning.count() << "ms on a full mailbox; still waiting";
+                << kStallWarning.count() << "ms on a full mailbox; still waiting";
           }
         }
       }
@@ -303,7 +307,8 @@ std::size_t ShardRouter::RescueOwnInbox(MachineId src) {
   return rescued;
 }
 
-std::size_t ShardRouter::Drain(MachineId node, std::size_t max_items) {
+template <typename OnFrame>
+std::size_t ShardRouter::DrainWith(MachineId node, std::size_t max_items, OnFrame&& on_frame) {
   Inbox& inbox = *inboxes_[node];
   std::size_t drained = 0;
   std::size_t from_spill = 0;
@@ -317,11 +322,16 @@ std::size_t ShardRouter::Drain(MachineId node, std::size_t max_items) {
     } else if (!inbox.queue.TryPop(item)) {
       break;
     }
+    // A frame is "consumed" only after on_frame returns: every effect it had
+    // on this shard (including sends it triggered, already counted in sent_)
+    // is visible, or its delivery is durably scheduled on the shard's queue.
     if (item.batch != nullptr) {
       // A batch is handled whole (frames of one link must not interleave
-      // with a later publish), so `drained` may overshoot max_items.
+      // with a later publish), so `drained` may overshoot max_items.  Frames
+      // keep their own timestamps, so a timed delivery of a later frame is
+      // never moved earlier to the batch head's.
       for (StagedFrame& frame : item.batch->frames) {
-        inbox.handler(item.src, std::move(frame.payload));
+        on_frame(item.src, frame.send_ts, std::move(frame.payload));
         consumed_.fetch_add(1, std::memory_order_seq_cst);
         ++drained;
       }
@@ -334,10 +344,7 @@ std::size_t ShardRouter::Drain(MachineId node, std::size_t max_items) {
         item.batch.reset();
       }
     } else {
-      inbox.handler(item.src, std::move(item.payload));
-      // After the handler: a message is "consumed" only once every effect it
-      // had on this shard (including sends it triggered, already counted in
-      // sent_) is visible.
+      on_frame(item.src, item.send_ts, std::move(item.payload));
       consumed_.fetch_add(1, std::memory_order_seq_cst);
       ++drained;
     }
@@ -366,67 +373,16 @@ std::size_t ShardRouter::Drain(MachineId node, std::size_t max_items) {
   return drained;
 }
 
+std::size_t ShardRouter::Drain(MachineId node, std::size_t max_items) {
+  const DeliveryHandler& handler = inboxes_[node]->handler;
+  return DrainWith(node, max_items, [&handler](MachineId src, SimTime, PayloadRef&& payload) {
+    handler(src, std::move(payload));
+  });
+}
+
 std::size_t ShardRouter::DrainTimed(MachineId node, std::size_t max_items,
                                     const TimedSink& sink) {
-  Inbox& inbox = *inboxes_[node];
-  std::size_t drained = 0;
-  std::size_t from_spill = 0;
-  MailItem item;
-  while (drained < max_items) {
-    // Spill first: everything there predates everything still in the ring.
-    if (!inbox.spill.empty()) {
-      item = std::move(inbox.spill.front());
-      inbox.spill.pop_front();
-      ++from_spill;
-    } else if (!inbox.queue.TryPop(item)) {
-      break;
-    }
-    if (item.batch != nullptr) {
-      // Frames keep their own timestamps: a later frame in the batch is
-      // scheduled at ITS send_ts + latency, never at the batch head's, so
-      // batching can only make arrivals later-or-equal, never earlier.
-      for (StagedFrame& frame : item.batch->frames) {
-        sink(item.src, frame.send_ts, std::move(frame.payload));
-        consumed_.fetch_add(1, std::memory_order_seq_cst);
-        ++drained;
-      }
-      item.batch->frames.clear();
-      if (node < outboxes_.size()) {
-        outboxes_[node]->batch_pool.Release(std::move(item.batch));
-      } else {
-        item.batch.reset();
-      }
-    } else {
-      sink(item.src, item.send_ts, std::move(item.payload));
-      // After the sink: the frame is either handled or durably scheduled on
-      // the shard's event queue, so the quiescence/LBTS machinery no longer
-      // needs the sent/consumed gap to cover it.
-      consumed_.fetch_add(1, std::memory_order_seq_cst);
-      ++drained;
-    }
-  }
-  if (drained != 0) {
-    MetricShard* metrics = MetricsFor(metrics_, node);
-    FlightRecorder* flight = FlightFor(flight_, node);
-    if (from_spill != 0) {
-      inbox.spill_depth.store(inbox.spill.size(), std::memory_order_relaxed);
-      if (metrics != nullptr) {
-        metrics->Inc(CounterId::kSpillDrained, from_spill);
-      }
-      if (flight != nullptr) {
-        flight->Record(FrEvent::kSpillExit, from_spill);
-      }
-    }
-    if (metrics != nullptr) {
-      metrics->Inc(CounterId::kMsgsDrained, drained);
-      metrics->Inc(CounterId::kDrainBatches);
-      metrics->Observe(HistogramId::kDrainBatchSize, drained);
-    }
-    if (flight != nullptr) {
-      flight->Record(FrEvent::kDrainBatch, drained);
-    }
-  }
-  return drained;
+  return DrainWith(node, max_items, sink);
 }
 
 bool ShardRouter::HasMail(MachineId node) const {

@@ -72,9 +72,6 @@ struct ShardRouterConfig {
   std::size_t mailbox_capacity = 1 << 14;
   // Failed pushes before a blocked producer starts yielding the CPU.
   std::size_t spin_before_yield = 64;
-  // A producer blocked this long on one push logs a stall diagnostic (it
-  // keeps waiting; the harness timeout is the actual deadline).
-  std::chrono::milliseconds stall_warning{5000};
   // Frames staged per destination lane before the lane is force-published
   // mid-round (Flush publishes whatever is staged regardless).  1 disables
   // batching: every Send publishes immediately.
@@ -139,11 +136,11 @@ class ShardRouter final : public Transport {
   // never split, so the last batch may overshoot it.
   std::size_t Drain(MachineId node, std::size_t max_items);
 
-  // Conservative-sync drain: pop messages and hand (src, send_ts, payload)
-  // per frame to `sink` instead of running the delivery handler -- batched
-  // frames are unpacked and keep their own send timestamps.  The sink must
-  // make the frame's effect durable before returning (the parallel engine
-  // schedules the delivery on the shard's EventQueue); each frame counts as
+  // Conservative-sync drain: the same drain, but each frame's (src, send_ts,
+  // payload) goes to `sink` instead of the delivery handler -- batched frames
+  // keep their own send timestamps.  The sink must make the frame's effect
+  // durable before returning (the parallel engine schedules the delivery on
+  // the shard's EventQueue); each frame counts as
   // consumed once its sink call returns, so the quiescence counters treat a
   // scheduled-but-not-yet-delivered frame as a pending *event*, which the
   // LBTS floors cover.  `max_items` is a soft bound as in Drain.
@@ -270,6 +267,11 @@ class ShardRouter final : public Transport {
   // Publish src's staged lane for dst (no-op when empty).  Does not touch
   // Outbox::dirty.
   void FlushLane(MachineId src, MachineId dst, MetricShard* metrics);
+
+  // The one drain body behind Drain and DrainTimed; only the per-frame
+  // action `on_frame(src, send_ts, PayloadRef&&)` differs.
+  template <typename OnFrame>
+  std::size_t DrainWith(MachineId node, std::size_t max_items, OnFrame&& on_frame);
 
   // Move everything poppable in `src`'s own ring into its spill queue.
   std::size_t RescueOwnInbox(MachineId src);

@@ -36,6 +36,22 @@ ChaosOptions BrokenForwarding(int machines) {
   return options;
 }
 
+// Apply a chaos_fuzz --disable= list to `scenario`, as the tool does, and
+// return the features it named.
+std::vector<ChaosFeature> ApplyDisableArg(ChaosScenario* scenario, const std::string& arg) {
+  std::vector<ChaosFeature> listed;
+  std::size_t pos = 0;
+  while (pos <= arg.size()) {
+    const std::size_t comma = std::min(arg.find(',', pos), arg.size());
+    const ChaosFeature f = ChaosFeatureFromName(arg.substr(pos, comma - pos));
+    EXPECT_NE(f, ChaosFeature::kNone) << arg;
+    listed.push_back(f);
+    (void)DisableFeature(scenario, f);
+    pos = comma + 1;
+  }
+  return listed;
+}
+
 // Seeds whose scenarios exercise forwarding: forwarding mode on and at least
 // a handful of migrations, so forwarding hops actually happen.
 bool ExercisesForwarding(const ChaosScenario& s) {
@@ -190,21 +206,40 @@ TEST(ChaosHarnessTest, MinimizedDisableArgReplaysTheMinimizedScenario) {
     }
     const std::string arg = MinimizedDisableArg(min);
     ChaosScenario replay = ScenarioFromSeed(seed);
-    std::size_t pos = 0;
-    int halvings_listed = 0;
-    while (pos <= arg.size()) {
-      const std::size_t comma = std::min(arg.find(',', pos), arg.size());
-      const ChaosFeature f = ChaosFeatureFromName(arg.substr(pos, comma - pos));
-      ASSERT_NE(f, ChaosFeature::kNone) << arg;
-      halvings_listed += f == ChaosFeature::kHalveMigrations ? 1 : 0;
-      (void)DisableFeature(&replay, f);
-      pos = comma + 1;
-    }
-    EXPECT_EQ(halvings_listed, min.halvings) << arg;
+    const std::vector<ChaosFeature> listed = ApplyDisableArg(&replay, arg);
+    EXPECT_EQ(std::count(listed.begin(), listed.end(), ChaosFeature::kHalveMigrations),
+              min.halvings)
+        << arg;
     EXPECT_EQ(replay.Describe(), min.scenario.Describe()) << "seed " << seed << ": " << arg;
     return;
   }
   FAIL() << "no failing seed in 1..64 minimized with a migration halving";
+}
+
+TEST(ChaosHarnessTest, DisableArgOfTheRunReplaysItsScenario) {
+  // The plain "repro:" line of a run given --disable= carries the same list,
+  // built by MinimizedDisableArg with nothing minimized: applied to a fresh
+  // ScenarioFromSeed it must rebuild the scenario the run used.
+  const std::vector<ChaosFeature> prior = {ChaosFeature::kDrop, ChaosFeature::kHalveMigrations,
+                                           ChaosFeature::kHalveMigrations};
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    ChaosScenario run = ScenarioFromSeed(seed);
+    bool all_applied = true;
+    for (const ChaosFeature f : prior) {
+      all_applied = DisableFeature(&run, f) && all_applied;
+    }
+    if (!all_applied) {
+      continue;
+    }
+    const std::string arg = MinimizedDisableArg(MinimizeResult{}, prior);
+    EXPECT_EQ(arg, "drop,halve-migrations,halve-migrations");
+    ChaosScenario replay = ScenarioFromSeed(seed);
+    EXPECT_EQ(ApplyDisableArg(&replay, arg), prior);
+    EXPECT_NE(replay.Describe(), ScenarioFromSeed(seed).Describe());
+    EXPECT_EQ(replay.Describe(), run.Describe()) << "seed " << seed << ": " << arg;
+    return;
+  }
+  FAIL() << "no seed in 1..64 with drops and at least two halvable migration lists";
 }
 
 TEST(ClusterCheckerTest, CleanMigrationPassesAllInvariants) {

@@ -305,7 +305,7 @@ TEST_F(EngineTest, LbtsEachWindowOpenedByExactlyOneShard) {
   }
 }
 
-TEST_F(EngineTest, AdaptiveLbtsOpensWideWindowsAndKeepsDeliveryExact) {
+TEST_F(EngineTest, WideLbtsWindowsOpenAndKeepDeliveryExact) {
   // Default sync config: wide windows are ON.  With no migration in flight
   // no shard is ever tight, so the shards should be opening wide windows --
   // and every delivery must still be exactly-once, with clamped arrivals (if

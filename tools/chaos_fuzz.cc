@@ -173,8 +173,14 @@ void PrintFailure(const Options& opts, const demos::ChaosScenario& scenario,
   if (result.violations.size() > kMaxPrinted) {
     std::printf("  ... and %zu more\n", result.violations.size() - kMaxPrinted);
   }
-  std::printf("repro: chaos_fuzz --seed=%llu%s\n",
-              static_cast<unsigned long long>(scenario.seed), ModeFlags(opts).c_str());
+  // The run's own --disable= list, formatted as the minimized repro line's.
+  const std::string disable_arg =
+      opts.disabled.empty()
+          ? std::string()
+          : " --disable=" + demos::MinimizedDisableArg(demos::MinimizeResult{}, opts.disabled);
+  std::printf("repro: chaos_fuzz --seed=%llu%s%s\n",
+              static_cast<unsigned long long>(scenario.seed), ModeFlags(opts).c_str(),
+              disable_arg.c_str());
 }
 
 // Trim the cluster timeline to the violation's cast of characters and write a
